@@ -390,8 +390,7 @@ void post_round(NbcState& st, int world, RankClock& clock, UniverseObs* o) {
 
 bool round_requests_complete(NbcState& st) {
   for (const auto& rs : st.pending) {
-    std::lock_guard<std::mutex> lk(rs->mu);
-    if (!rs->complete) return false;
+    if (!rs->complete.load(std::memory_order_acquire)) return false;
   }
   return true;
 }
@@ -493,16 +492,15 @@ bool try_advance(NbcState& st) {
   }
 }
 
-/// Park briefly on an incomplete request; wakes on completion, abort, or
-/// timeout (so the caller can progress its other schedules).
+/// Spin, then park briefly on an incomplete request; returns on
+/// completion or timeout (so the caller can progress its other
+/// schedules), throws on abort or the owner's own death.
 void park_on(RequestState& rs, std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lk(rs.mu);
-  if (rs.complete) return;
-  rs.cv.wait_for(lk, timeout);
-  if (!rs.complete && rs.abort != nullptr &&
-      rs.abort->load(std::memory_order_relaxed)) {
-    throw AbortError();
-  }
+  // Charge the owner's work up to here; the wait itself is host CPU that
+  // must not reach virtual time.
+  if (rs.owner_clock != nullptr) rs.owner_clock->advance_cpu();
+  await_completion(rs, timeout);
+  if (rs.owner_clock != nullptr) rs.owner_clock->resync_cpu();
 }
 
 }  // namespace
@@ -536,8 +534,7 @@ Status nbc_wait(NbcState& st) {
                                  .active.size();
     std::shared_ptr<RequestState> first;
     for (const auto& rs : st.pending) {
-      std::lock_guard<std::mutex> lk(rs->mu);
-      if (!rs->complete) {
+      if (!rs->complete.load(std::memory_order_acquire)) {
         first = rs;
         break;
       }

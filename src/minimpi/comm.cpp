@@ -352,15 +352,23 @@ void Prequest::start() {
   current_ = kind_ == Kind::kSend
                  ? comm_.isend(buf_, bytes_, peer_, tag_)
                  : comm_.irecv(buf_, bytes_, peer_, tag_);
+  active_ = true;
 }
 
 void Prequest::wait(Status* status) {
-  // A persistent send may have completed locally at start() (eager), in
-  // which case current_ is the null request and wait is a no-op.
+  // A persistent send may have completed locally at start(), in which
+  // case current_ is the null request and wait is a no-op. A wait that
+  // throws has completed the instance with an error.
+  active_ = false;
   current_.wait(status);
 }
 
-bool Prequest::test(Status* status) { return current_.test(status); }
+bool Prequest::test(Status* status) {
+  active_ = false;  // as with wait, a test that throws ends the instance
+  if (current_.test(status)) return true;
+  active_ = true;
+  return false;
+}
 
 void Prequest::start_all(std::span<Prequest> requests) {
   for (Prequest& r : requests) r.start();

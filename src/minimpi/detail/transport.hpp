@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -106,6 +107,9 @@ struct UniverseObs {
   obs::PvarId eager_sent, rndv_sent;
   obs::PvarId unexpected_hwm;  ///< unexpected-queue depth high-water mark
   obs::PvarId wait_count, wait_ns;
+  /// Split of wait_count by how each wait ended: the completion was seen
+  /// during the spin phase, or the wait reached the futex park.
+  obs::PvarId wait_spun, wait_parked;
 
   /// Reliable-transport fault counters. Registered only when the job's
   /// fault plan is enabled, so a fault-free job's pvar table is identical
@@ -280,8 +284,13 @@ class ChargedSection {
 /// Shared state of one non-blocking operation (send or receive).
 struct RequestState {
   std::mutex mu;
+  /// Parks the owning rank thread, the only waiter; completers notify_one.
   std::condition_variable cv;
-  bool complete = false;
+  /// The completion word. Written once, under `mu`, with a release store
+  /// after every result field below is set, so a waiter may poll it
+  /// without the lock (the spin phase of await_completion) and read the
+  /// results after an acquire load. Nothing writes the results after it.
+  std::atomic<bool> complete{false};
   bool failed = false;
   /// Failed because the reliable transport's delivery timeout expired;
   /// wait/test rethrow this as TransportTimeoutError.
@@ -403,6 +412,23 @@ void fail_request_revoked(RequestState& rs, std::string error,
 /// single decode point: timeout/truncation/rank-failure/revocation).
 [[noreturn]] void throw_failure(jhpc::ErrorCode code, const std::string& err,
                                 std::vector<int> failed);
+
+/// How await_completion ended.
+enum class Awaited {
+  kSpun,      ///< the completion was seen during the spin phase
+  kParked,    ///< seen after parking on the request's condvar
+  kTimedOut,  ///< `park_limit` expired first (the request is incomplete)
+};
+
+/// The one blocking-wait primitive. Spins on the completion word for a
+/// bounded wall-clock budget, yielding the core every iteration, then
+/// parks on the condvar for at most `park_limit`. Throws AbortError when
+/// the job aborts and RankKilledError when the owner itself is
+/// fail-stopped. Does not touch the owner's virtual clock: the spin and
+/// park burn host CPU, which callers must keep out of virtual time.
+Awaited await_completion(RequestState& rs,
+                         std::chrono::milliseconds park_limit =
+                             std::chrono::milliseconds::max());
 
 /// Block until `rs` completes; jumps the owner's virtual clock to the
 /// delivery time; throws the delivered error or AbortError. Must run on
@@ -717,6 +743,15 @@ struct UniverseImpl {
   /// or -1. `match_src` is a comm rank or kAnySource.
   int dead_peer_for_recv(int context_id, int my_world, int match_src);
 
+  /// dead_peer_for_recv when kills are armed, else -1. The receive paths
+  /// check it at entry and again under the bucket lock just before they
+  /// post: a mark_dead sweep of the bucket in between would otherwise
+  /// strand the posted receive with nobody left to fail it.
+  int stranding_peer(int context_id, int my_world, int match_src) {
+    return kills_on() ? dead_peer_for_recv(context_id, my_world, match_src)
+                      : -1;
+  }
+
   /// Raise a rank-failure/revocation condition on the calling rank:
   /// counts fault.rank.detected, applies the communicator's error handler
   /// (ErrorsAreFatal aborts the job first unless inside ResilienceScope),
@@ -725,6 +760,10 @@ struct UniverseImpl {
                                   jhpc::ErrorCode code,
                                   const std::string& what,
                                   std::vector<int> failed);
+
+  /// raise_failure for a fail-stopped peer `dead_world`.
+  [[noreturn]] void raise_rank_failed(int my_world, int context_id,
+                                      int dead_world);
 
   /// Combined cheap entry check (self-death, revocation, dead peer).
   /// `peer_world` < 0 means "no specific peer".

@@ -333,8 +333,10 @@ class Prequest {
   Prequest() = default;
 
   bool valid() const { return comm_.valid(); }
-  /// True between start() and the completing wait()/test().
-  bool active() const { return current_.valid(); }
+  /// True between start() and the completing wait()/test(), even when the
+  /// instance finished inside start() (an eager send, or a rendezvous send
+  /// that met an already-posted receive) and left no request behind.
+  bool active() const { return active_; }
 
   /// Launch one instance of the operation (MPI_Start). The previous
   /// instance must have completed.
@@ -361,6 +363,7 @@ class Prequest {
   int peer_ = -1;
   int tag_ = 0;
   Request current_;
+  bool active_ = false;
 };
 
 }  // namespace jhpc::minimpi

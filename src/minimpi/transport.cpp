@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "jhpc/support/clock.hpp"
 
@@ -12,6 +13,13 @@ using namespace std::chrono_literals;
 // Polling period for abort detection while parked on a condition variable.
 // Only failure paths ever pay this latency.
 constexpr auto kAbortPoll = 20ms;
+
+// Wall-clock budget a blocking wait spins on the completion word before it
+// parks. Long enough to cover an in-process handoff between two running
+// threads, short enough that a rank blocked on a slow peer sleeps.
+constexpr auto kSpinBudget = 50us;
+// Spin iterations between abort/self-death polls and budget checks.
+constexpr int kSpinPollEvery = 8;
 
 namespace {
 
@@ -105,6 +113,12 @@ UniverseObs::UniverseObs(const obs::ObsConfig& config, int ranks, bool faults,
                                  "blocking request completions");
   wait_ns = reg.register_pvar("mpi.wait_ns", PvarClass::kTimer,
                               "virtual time spent waiting on requests");
+  wait_spun = reg.register_pvar(
+      "transport.wait.spun", PvarClass::kCounter,
+      "blocking waits whose completion was seen during the spin phase");
+  wait_parked = reg.register_pvar(
+      "transport.wait.parked", PvarClass::kCounter,
+      "blocking waits that parked on the futex before completing");
   hist_wait =
       reg.register_pvar("hist.wait", PvarClass::kHistogram,
                         "distribution of blocking wait times");
@@ -221,13 +235,23 @@ UniverseObs::UniverseObs(const obs::ObsConfig& config, int ranks, bool faults,
       obs::PvarUnit::kNanoseconds);
 }
 
+namespace {
+
+/// Publish the result fields written just before: the release store pairs
+/// with the waiter's acquire load of the completion word.
+void publish_completion(RequestState& rs) {
+  rs.complete.store(true, std::memory_order_release);
+  rs.cv.notify_one();
+}
+
+}  // namespace
+
 void complete_request(RequestState& rs, const Status& st,
                       std::int64_t ready_at_ns) {
   std::lock_guard<std::mutex> lk(rs.mu);
   rs.status = st;
   rs.ready_at_ns = ready_at_ns;
-  rs.complete = true;
-  rs.cv.notify_all();
+  publish_completion(rs);
 }
 
 void fail_request(RequestState& rs, jhpc::ErrorCode code, std::string error) {
@@ -235,8 +259,7 @@ void fail_request(RequestState& rs, jhpc::ErrorCode code, std::string error) {
   rs.failed = true;
   rs.err_code = code;
   rs.error = std::move(error);
-  rs.complete = true;
-  rs.cv.notify_all();
+  publish_completion(rs);
 }
 
 void fail_request_timeout(RequestState& rs, std::string error) {
@@ -245,33 +268,31 @@ void fail_request_timeout(RequestState& rs, std::string error) {
   rs.timed_out = true;
   rs.err_code = jhpc::ErrorCode::kTransportTimeout;
   rs.error = std::move(error);
-  rs.complete = true;
-  rs.cv.notify_all();
+  publish_completion(rs);
 }
 
 void fail_request_rank(RequestState& rs, std::string error,
                        std::vector<int> failed, std::int64_t detect_at_ns) {
   std::lock_guard<std::mutex> lk(rs.mu);
-  if (rs.complete) return;  // the reaper never overwrites a settled result
+  // The reaper never overwrites a settled result.
+  if (rs.complete.load(std::memory_order_relaxed)) return;
   rs.failed = true;
   rs.err_code = jhpc::ErrorCode::kRankFailed;
   rs.failed_ranks = std::move(failed);
   rs.error = std::move(error);
   rs.ready_at_ns = detect_at_ns;
-  rs.complete = true;
-  rs.cv.notify_all();
+  publish_completion(rs);
 }
 
 void fail_request_revoked(RequestState& rs, std::string error,
                           std::int64_t detect_at_ns) {
   std::lock_guard<std::mutex> lk(rs.mu);
-  if (rs.complete) return;
+  if (rs.complete.load(std::memory_order_relaxed)) return;
   rs.failed = true;
   rs.err_code = jhpc::ErrorCode::kCommRevoked;
   rs.error = std::move(error);
   rs.ready_at_ns = detect_at_ns;
-  rs.complete = true;
-  rs.cv.notify_all();
+  publish_completion(rs);
 }
 
 void throw_failure(jhpc::ErrorCode code, const std::string& err,
@@ -305,6 +326,66 @@ ResilienceScope::ResilienceScope() { ++resilience_depth; }
 ResilienceScope::~ResilienceScope() { --resilience_depth; }
 bool ResilienceScope::active() { return resilience_depth > 0; }
 
+namespace {
+
+/// Unwind a wait whose job aborted or whose owner was fail-stopped (by
+/// Universe::kill_rank from another thread) instead of waiting forever.
+void throw_if_unwinding(const RequestState& rs) {
+  if (rs.abort != nullptr && rs.abort->load(std::memory_order_relaxed)) {
+    throw AbortError();
+  }
+  if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
+    throw RankKilledError();
+  }
+}
+
+/// Rethrow the settled failure of a completed request. Failure detection
+/// has virtual-time latency too: the owner's clock jumps to the detection
+/// time before the communicator's error handler runs.
+[[noreturn]] void raise_request_failure(RequestState& rs) {
+  const jhpc::ErrorCode code =
+      rs.timed_out ? jhpc::ErrorCode::kTransportTimeout : rs.err_code;
+  if (rs.owner_clock != nullptr) rs.owner_clock->observe(rs.ready_at_ns);
+  if (rs.uni != nullptr && (code == jhpc::ErrorCode::kRankFailed ||
+                            code == jhpc::ErrorCode::kCommRevoked)) {
+    rs.uni->raise_failure(rs.owner_world, rs.context_id, code, rs.error,
+                          rs.failed_ranks);
+  }
+  throw_failure(code, rs.error, rs.failed_ranks);
+}
+
+}  // namespace
+
+Awaited await_completion(RequestState& rs,
+                         std::chrono::milliseconds park_limit) {
+  if (rs.complete.load(std::memory_order_acquire)) return Awaited::kSpun;
+  // Spin: the completer is usually another running rank thread a few
+  // microseconds away. Yield every iteration so that spinners never
+  // starve the threads they wait for on an oversubscribed host.
+  const auto spin_end = std::chrono::steady_clock::now() + kSpinBudget;
+  for (int i = 1;; ++i) {
+    std::this_thread::yield();
+    if (rs.complete.load(std::memory_order_acquire)) return Awaited::kSpun;
+    if (i % kSpinPollEvery == 0) {
+      throw_if_unwinding(rs);
+      if (std::chrono::steady_clock::now() >= spin_end) break;
+    }
+  }
+  // Park. Unbounded waits re-check abort and self-death every kAbortPoll;
+  // bounded ones (park_limit <= kAbortPoll) wake once.
+  std::unique_lock<std::mutex> lk(rs.mu);
+  while (!rs.complete.load(std::memory_order_relaxed)) {
+    rs.cv.wait_for(lk, std::min<std::chrono::milliseconds>(kAbortPoll,
+                                                           park_limit));
+    if (rs.complete.load(std::memory_order_relaxed)) break;
+    throw_if_unwinding(rs);
+    if (park_limit != std::chrono::milliseconds::max()) {
+      return Awaited::kTimedOut;
+    }
+  }
+  return Awaited::kParked;
+}
+
 Status wait_request(RequestState& rs) {
   // Fold in the CPU the owner spent since its last transport call so the
   // virtual clock is current before we observe the completion time.
@@ -313,57 +394,34 @@ Status wait_request(RequestState& rs) {
       rs.owner_clock != nullptr ? rs.owner_clock->vclock : 0;
   if (rs.obs != nullptr && rs.owner_clock != nullptr)
     rs.obs->rec.begin(rs.owner_world, "wait", wait_from);
-  std::unique_lock<std::mutex> lk(rs.mu);
-  while (!rs.complete) {
-    rs.cv.wait_for(lk, kAbortPoll);
-    if (rs.complete) break;
-    if (rs.abort != nullptr && rs.abort->load(std::memory_order_relaxed)) {
-      throw AbortError();
-    }
-    // The waiter itself may have been fail-stopped (Universe::kill_rank
-    // from another thread): unwind instead of waiting forever.
-    if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
-      throw RankKilledError();
-    }
-  }
+  const Awaited how = await_completion(rs);
+  // Spinning, futex wakeups and lock contention are host artifacts, not
+  // simulated work: drop them from the CPU passthrough on either outcome.
+  if (rs.owner_clock != nullptr) rs.owner_clock->resync_cpu();
+  // The acquire load that ended the wait makes every result field
+  // visible, and nothing writes them after completion.
   if (rs.failed) {
-    const std::string err = rs.error;
-    const jhpc::ErrorCode code =
-        rs.timed_out ? jhpc::ErrorCode::kTransportTimeout : rs.err_code;
-    std::vector<int> failed = rs.failed_ranks;
-    const std::int64_t detect_at = rs.ready_at_ns;
-    lk.unlock();
     if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
       throw RankKilledError();
     }
-    // Failure detection has virtual-time latency too: a reaped request
-    // carries the heartbeat-floored detection time.
-    if (rs.owner_clock != nullptr) rs.owner_clock->observe(detect_at);
-    if (rs.uni != nullptr && (code == jhpc::ErrorCode::kRankFailed ||
-                              code == jhpc::ErrorCode::kCommRevoked)) {
-      rs.uni->raise_failure(rs.owner_world, rs.context_id, code, err,
-                            std::move(failed));
-    }
-    throw_failure(code, err, std::move(failed));
+    raise_request_failure(rs);
   }
-  const Status st = rs.status;
-  const std::int64_t ready_at = rs.ready_at_ns;
-  lk.unlock();
   if (rs.owner_clock != nullptr) {
-    rs.owner_clock->observe(ready_at);
-    // Blocking machinery (futex wakeups, lock contention) is a host
-    // artifact, not simulated work: drop it from the CPU passthrough.
-    rs.owner_clock->resync_cpu();
+    rs.owner_clock->observe(rs.ready_at_ns);
     if (rs.obs != nullptr) {
-      rs.obs->rec.pvars().add(rs.obs->wait_count, rs.owner_world, 1);
-      rs.obs->rec.pvars().add(rs.obs->wait_ns, rs.owner_world,
-                              rs.owner_clock->vclock - wait_from);
-      rs.obs->rec.pvars().record(rs.obs->hist_wait, rs.owner_world,
-                                 rs.owner_clock->vclock - wait_from);
+      obs::PvarRegistry& reg = rs.obs->rec.pvars();
+      reg.add(rs.obs->wait_count, rs.owner_world, 1);
+      reg.add(how == Awaited::kSpun ? rs.obs->wait_spun
+                                    : rs.obs->wait_parked,
+              rs.owner_world, 1);
+      reg.add(rs.obs->wait_ns, rs.owner_world,
+              rs.owner_clock->vclock - wait_from);
+      reg.record(rs.obs->hist_wait, rs.owner_world,
+                 rs.owner_clock->vclock - wait_from);
       rs.obs->rec.end(rs.owner_world, "wait", rs.owner_clock->vclock);
     }
   }
-  return st;
+  return rs.status;
 }
 
 bool test_request(RequestState& rs, Status* out) {
@@ -371,32 +429,15 @@ bool test_request(RequestState& rs, Status* out) {
   if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
     throw RankKilledError();
   }
-  std::unique_lock<std::mutex> lk(rs.mu);
-  if (!rs.complete) return false;
-  if (rs.failed) {
-    const std::string err = rs.error;
-    const jhpc::ErrorCode code =
-        rs.timed_out ? jhpc::ErrorCode::kTransportTimeout : rs.err_code;
-    std::vector<int> failed = rs.failed_ranks;
-    const std::int64_t detect_at = rs.ready_at_ns;
-    lk.unlock();
-    if (rs.owner_clock != nullptr) rs.owner_clock->observe(detect_at);
-    if (rs.uni != nullptr && (code == jhpc::ErrorCode::kRankFailed ||
-                              code == jhpc::ErrorCode::kCommRevoked)) {
-      rs.uni->raise_failure(rs.owner_world, rs.context_id, code, err,
-                            std::move(failed));
-    }
-    throw_failure(code, err, std::move(failed));
-  }
+  if (!rs.complete.load(std::memory_order_acquire)) return false;
+  if (rs.failed) raise_request_failure(rs);
   // Completed, but only observable once the owner's virtual time reaches
   // the delivery time; polling burns CPU and therefore advances it.
   if (rs.owner_clock != nullptr &&
       rs.ready_at_ns > rs.owner_clock->vclock) {
     return false;
   }
-  const Status st = rs.status;
-  lk.unlock();
-  if (out != nullptr) *out = st;
+  if (out != nullptr) *out = rs.status;
   return true;
 }
 
@@ -734,11 +775,15 @@ void UniverseImpl::entry_checks(int my_world, int context_id,
                   {});
   }
   if (peer_world >= 0 && rank_dead(peer_world)) {
-    raise_failure(
-        my_world, context_id, jhpc::ErrorCode::kRankFailed,
-        "rank " + std::to_string(peer_world) + " failed (fail-stop)",
-        {peer_world});
+    raise_rank_failed(my_world, context_id, peer_world);
   }
+}
+
+void UniverseImpl::raise_rank_failed(int my_world, int context_id,
+                                     int dead_world) {
+  raise_failure(my_world, context_id, jhpc::ErrorCode::kRankFailed,
+                "rank " + std::to_string(dead_world) + " failed (fail-stop)",
+                {dead_world});
 }
 
 void UniverseImpl::quiesce() {
@@ -973,7 +1018,7 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
     sclock.charge(config.intra_send_overhead_ns);
   }
 
-  std::lock_guard<std::mutex> lk(bk.mu);
+  std::unique_lock<std::mutex> lk(bk.mu);
   throw_if_aborted();
 
   // Try to match an already-posted receive (in post order: MPI's
@@ -1181,6 +1226,13 @@ std::shared_ptr<RequestState> UniverseImpl::deliver(
     msg.rndv_dt = *sdt;
     msg.rndv_dt_count = sdt_count;
   }
+  // A kill of the receiver that swept this bucket after entry_checks
+  // would leave the parked send waiting for a CTS forever: re-check under
+  // the bucket lock the sweep takes.
+  if (rank_dead(dst_world)) {
+    lk.unlock();
+    raise_rank_failed(src_world, context_id, dst_world);
+  }
   bk.unexpected.push_back(std::move(msg));
   if (o != nullptr) {
     o->rec.pvars().raise(
@@ -1208,8 +1260,7 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
                       src, tag, obs::FlightKind::kPost});
   }
   entry_checks(my_world, context_id,
-               kills_on() ? dead_peer_for_recv(context_id, my_world, src)
-                          : -1);
+               stranding_peer(context_id, my_world, src));
   TransportSpan span(o, my_world, "post", rclock);
 
   auto rs = std::make_shared<RequestState>();
@@ -1232,7 +1283,7 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
 
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
-  std::lock_guard<std::mutex> lk(bk.mu);
+  std::unique_lock<std::mutex> lk(bk.mu);
   throw_if_aborted();
 
   // Scan the unexpected queue in arrival order (non-overtaking rule for
@@ -1260,6 +1311,11 @@ std::shared_ptr<RequestState> UniverseImpl::post_recv(
     return rs;
   }
 
+  const int dead = stranding_peer(context_id, my_world, src);
+  if (dead >= 0) {
+    lk.unlock();
+    raise_rank_failed(my_world, context_id, dead);
+  }
   bk.posted.push_back(rs);
   rclock.resync_cpu();
   return rs;
@@ -1406,11 +1462,11 @@ Status UniverseImpl::blocking_recv(int my_world, int context_id, int src,
   RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
   rclock.advance_cpu();
   entry_checks(my_world, context_id,
-               kills_on() ? dead_peer_for_recv(context_id, my_world, src)
-                          : -1);
+               stranding_peer(context_id, my_world, src));
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
   std::shared_ptr<RequestState> rs;
+  int dead = -1;
   {
     std::lock_guard<std::mutex> lk(bk.mu);
     throw_if_aborted();
@@ -1454,8 +1510,10 @@ Status UniverseImpl::blocking_recv(int my_world, int context_id, int src,
     rs->match_src = src;
     rs->match_tag = tag;
     rs->context_id = context_id;
-    bk.posted.push_back(rs);
+    dead = stranding_peer(context_id, my_world, src);
+    if (dead < 0) bk.posted.push_back(rs);
   }
+  if (dead >= 0) raise_rank_failed(my_world, context_id, dead);
   rclock.resync_cpu();
   try {
     return wait_request(*rs);
@@ -1499,10 +1557,7 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
       const int dead = dead_peer_for_recv(context_id, my_world, src);
       if (dead >= 0) {
         lk.unlock();
-        raise_failure(my_world, context_id, jhpc::ErrorCode::kRankFailed,
-                      "rank " + std::to_string(dead) +
-                          " failed (fail-stop)",
-                      {dead});
+        raise_rank_failed(my_world, context_id, dead);
       }
     }
     if (fail.revoked_count.load(std::memory_order_acquire) > 0 &&

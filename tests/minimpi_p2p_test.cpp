@@ -438,6 +438,51 @@ TEST(PersistentTest, DoubleStartRejected) {
                InvalidArgumentError);
 }
 
+TEST(PersistentTest, DoubleStartRejectedWhenStartMatchedAPostedReceive) {
+  // The receive is posted before the first start, so the rendezvous send
+  // completes inside start() and leaves no request behind; the instance
+  // is still active until wait(), and a second start must be refused.
+  UniverseConfig c = cfg(2);
+  c.eager_limit = 4;
+  Universe u(c);
+  EXPECT_THROW(u.run([](Comm& world) {
+                 std::vector<std::uint8_t> buf(64);
+                 char go = 0;
+                 if (world.rank() == 0) {
+                   Prequest p = world.send_init(buf.data(), 64, 1, 0);
+                   world.recv(&go, 1, 1, 1);  // receiver has posted
+                   p.start();
+                   EXPECT_TRUE(p.active());
+                   p.start();
+                 } else {
+                   Request r = world.irecv(buf.data(), 64, 0, 0);
+                   world.send(&go, 1, 0, 1);
+                   r.wait();
+                 }
+               }),
+               InvalidArgumentError);
+}
+
+TEST(PersistentTest, ActiveFromStartUntilTheCompletingWaitOrTest) {
+  Universe::launch(cfg(2), [](Comm& world) {
+    char byte = 7;
+    if (world.rank() == 0) {
+      Prequest p = world.send_init(&byte, 1, 1, 0);  // eager
+      EXPECT_FALSE(p.active());
+      p.start();
+      EXPECT_TRUE(p.active());
+      p.wait();
+      EXPECT_FALSE(p.active());
+      p.start();
+      while (!p.test()) {
+      }
+      EXPECT_FALSE(p.active());
+    } else {
+      for (int i = 0; i < 2; ++i) world.recv(&byte, 1, 0, 0);
+    }
+  });
+}
+
 class EagerLimitTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EagerLimitTest, RoundTripAcrossProtocolBoundary) {

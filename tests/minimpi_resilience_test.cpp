@@ -217,6 +217,10 @@ TEST(ResilienceNbcTest, PendingScheduleFailsAndCommIsPoisoned) {
 TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
   UniverseConfig c = kill_cfg(3, {{2, 0}});
   std::atomic<bool> checked{false};
+  // Rank 2 dies at its first transport entry; it enters only once rank 0
+  // has posted both receives, so the death breaks a posted receive (a
+  // receive posted after the death would itself raise, at the post).
+  std::atomic<bool> posted{false};
   Universe::launch(c, [&](Comm& world) {
     world.set_errhandler(Errhandler::kErrorsReturn);
     if (world.rank() == 1) {
@@ -226,6 +230,7 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
     }
     if (world.rank() != 0) {
       // Rank 2: die at the first transport entry (SPMD recv).
+      while (!posted.load()) std::this_thread::yield();
       char b = 0;
       world.recv(&b, 1, 0, 99);
       return;
@@ -234,6 +239,7 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
     std::vector<Request> reqs;
     reqs.push_back(world.irecv(&from_alive, 1, 1, 5));
     reqs.push_back(world.irecv(&from_dead, 1, 2, 6));
+    posted.store(true);
     try {
       Request::wait_all(reqs);
       ADD_FAILURE() << "wait_all completed over a dead sender";
@@ -250,6 +256,10 @@ TEST(ResilienceWaitTest, WaitAllCompletesAliveThenSurfacesFailure) {
 TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
   UniverseConfig c = kill_cfg(3, {{2, 0}});
   std::atomic<bool> checked{false};
+  // Rank 2 dies at its first transport entry; it enters only once rank 0
+  // has posted both receives, so the death breaks a posted receive (a
+  // receive posted after the death would itself raise, at the post).
+  std::atomic<bool> posted{false};
   Universe::launch(c, [&](Comm& world) {
     world.set_errhandler(Errhandler::kErrorsReturn);
     if (world.rank() == 1) {
@@ -258,6 +268,7 @@ TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
       return;
     }
     if (world.rank() != 0) {
+      while (!posted.load()) std::this_thread::yield();
       char b = 0;
       world.recv(&b, 1, 0, 99);
       return;
@@ -266,6 +277,7 @@ TEST(ResilienceWaitTest, WaitAnyEitherCompletesAliveOrThrows) {
     std::vector<Request> reqs;
     reqs.push_back(world.irecv(&from_dead, 1, 2, 6));
     reqs.push_back(world.irecv(&from_alive, 1, 1, 5));
+    posted.store(true);
     // Both outcomes are legal: the failure may surface before or after
     // the alive completion, but the alive payload must never be lost and
     // the dead request must never complete.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -353,6 +354,36 @@ TEST(TransportPvarsTest, CountsMessagesBytesAndProtocols) {
   EXPECT_EQ(recvd, 5);
   EXPECT_EQ(recvd_bytes, 3 * 16 + 2 * 256);
   EXPECT_GT(wait_count, 0);
+}
+
+TEST(TransportPvarsTest, EveryWaitEitherSpunOrParked) {
+  UniverseConfig cfg = traced_config(2, testing::TempDir() + "waits.json");
+  std::int64_t spun = -1, parked = -1, waits = -1;
+  Universe::launch(cfg, [&](Comm& world) {
+    char byte = 0;
+    if (world.rank() == 0) {
+      minimpi::Request early = world.irecv(&byte, 1, 1, 0);
+      world.recv(&byte, 1, 1, 1);  // same-pair order: tag 0 has landed
+      early.wait();                // complete before it starts: spun
+      world.recv(&byte, 1, 1, 2);  // rank 1 sleeps far past the spin
+      world.send(&byte, 1, 1, 3);
+      world.recv(&byte, 1, 1, 4);  // rank 1's waits are all counted
+      PvarRegistry& reg = *world.pvars();
+      spun = reg.total(reg.find("transport.wait.spun"));
+      parked = reg.total(reg.find("transport.wait.parked"));
+      waits = reg.total(reg.find("mpi.wait_count"));
+    } else {
+      world.send(&byte, 1, 0, 0);
+      world.send(&byte, 1, 0, 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      world.send(&byte, 1, 0, 2);
+      world.recv(&byte, 1, 0, 3);
+      world.send(&byte, 1, 0, 4);
+    }
+  });
+  EXPECT_GE(spun, 1);
+  EXPECT_GE(parked, 1);
+  EXPECT_EQ(spun + parked, waits);
 }
 
 TEST(TransportPvarsTest, UnexpectedQueueHighWaterMark) {

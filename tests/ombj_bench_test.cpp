@@ -76,18 +76,26 @@ TEST(VirtualTimeTest, InterNodeLatencyDominatedByModel) {
     char byte = 0;
     // Warm up and synchronise.
     world.barrier();
-    const auto t0 = world.vtime_ns();
     constexpr int kIters = 10;
+    // Each rank times whole round trips: rank 0 from its first send to
+    // its last receive, rank 1 from its first receive to its last (one
+    // round fewer). Rank 1's barrier exit is no start point: it is skewed
+    // against rank 0's, and ends half a round trip off.
+    std::int64_t from = world.vtime_ns(), to = from;
     for (int i = 0; i < kIters; ++i) {
       if (world.rank() == 0) {
         world.send(&byte, 1, 1, 0);
         world.recv(&byte, 1, 1, 0);
+        to = world.vtime_ns();
       } else {
         world.recv(&byte, 1, 0, 0);
+        to = world.vtime_ns();
+        if (i == 0) from = to;
         world.send(&byte, 1, 0, 0);
       }
     }
-    const auto per_round = (world.vtime_ns() - t0) / kIters;
+    const int rounds = world.rank() == 0 ? kIters : kIters - 1;
+    const auto per_round = (to - from) / rounds;
     EXPECT_GT(per_round, 95'000);   // ~2 x 50 us
     EXPECT_LT(per_round, 140'000);  // plus bounded CPU overhead
   });

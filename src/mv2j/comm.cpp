@@ -1,20 +1,21 @@
-// ByteBuffer paths and communicator management of the MVAPICH2-J
-// bindings. This is the paper's Figure 4 pipeline: reference in, one JNI
-// crossing, GetDirectBufferAddress, native MPI call on the raw pointer.
+// ByteBuffer paths and communicator management of the binding core. This
+// is the paper's Figure 4 pipeline: reference in, one JNI crossing,
+// GetDirectBufferAddress, native MPI call on the raw pointer. Both
+// profiles share it; Open MPI-J adds a handle check on send/recv (see
+// EnvCore::marshalled_crossing).
 #include "jhpc/mv2j/comm.hpp"
 
+#include "checks.hpp"
 #include "jhpc/minijvm/jni.hpp"
 #include "jhpc/mv2j/env.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::mv2j {
 
-namespace {
-std::size_t payload_bytes(int count, const Datatype& type) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
-  return static_cast<std::size_t>(count) * type.size();
-}
+using detail::basic_only;
+using detail::payload_bytes;
 
+namespace {
 // Memory span `count` elements of `type` occupy in a buffer: blocks laid
 // out extent() apart. The capacity check must cover this for derived
 // types — size() undercounts the stride gaps. Layouts reaching below the
@@ -28,18 +29,6 @@ std::size_t span_bytes(int count, const Datatype& type, const char* what) {
                    ": datatypes with a negative lower bound are not "
                    "addressable through a ByteBuffer");
   return static_cast<std::size_t>(count) * type.extent();
-}
-
-// Collectives with no typed substrate form yet.
-std::size_t basic_only(int count, const Datatype& type, const char* what) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
-  if (!type.isBasic()) {
-    throw UnsupportedOperationError(
-        std::string(what) +
-        ": derived datatypes are not supported on this collective (typed "
-        "forms exist for point-to-point and the non-vectored collectives)");
-  }
-  return static_cast<std::size_t>(count) * type.size();
 }
 }  // namespace
 
@@ -64,7 +53,7 @@ void Comm::send(const ByteBuffer& buf, int count, const Datatype& type,
                 int dest, int tag) const {
   JHPC_REQUIRE(valid(), "send on invalid communicator");
   const std::size_t span = span_bytes(count, type, "send");
-  env_->jvm_->jni().crossing();
+  env_->marshalled_crossing();
   const std::byte* p = buffer_address(buf, span, "send");
   if (type.isBasic()) {
     native_.send(p, payload_bytes(count, type), dest, tag);
@@ -77,7 +66,7 @@ Status Comm::recv(ByteBuffer& buf, int count, const Datatype& type,
                   int source, int tag) const {
   JHPC_REQUIRE(valid(), "recv on invalid communicator");
   const std::size_t span = span_bytes(count, type, "recv");
-  env_->jvm_->jni().crossing();
+  env_->marshalled_crossing();
   std::byte* p = buffer_address(buf, span, "recv");
   minimpi::Status st;
   if (type.isBasic()) {
@@ -435,37 +424,20 @@ Request Comm::iAllToAll(const ByteBuffer& sendbuf, int count,
 
 // --- Vectored collectives: ByteBuffer -------------------------------------------
 
-namespace {
-// Convert element counts/displacements to byte vectors.
-void to_bytes(std::span<const int> in, std::size_t el,
-              std::vector<std::size_t>* out) {
-  out->clear();
-  out->reserve(in.size());
-  for (int v : in) {
-    JHPC_REQUIRE(v >= 0, "negative count/displacement");
-    out->push_back(static_cast<std::size_t>(v) * el);
-  }
-}
-}  // namespace
-
 void Comm::gatherv(const ByteBuffer& sendbuf, int sendcount,
                    const Datatype& type, ByteBuffer& recvbuf,
                    std::span<const int> recvcounts,
                    std::span<const int> displs, int root) const {
   JHPC_REQUIRE(valid(), "gatherv on invalid communicator");
   const std::size_t sbytes = basic_only(sendcount, type, "gatherv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(recvcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
+  const auto counts = detail::to_bytes(recvcounts, type.size());
+  const auto offs = detail::to_bytes(displs, type.size());
   env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, sbytes, "gatherv");
-  std::byte* rp = nullptr;
-  if (getRank() == root) {
-    std::size_t span_end = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      span_end = std::max(span_end, offs[i] + counts[i]);
-    rp = buffer_address(recvbuf, span_end, "gatherv");
-  }
+  std::byte* rp =
+      getRank() == root
+          ? buffer_address(recvbuf, detail::span_end(counts, offs), "gatherv")
+          : nullptr;
   native_.gatherv(sp, sbytes, rp, counts, offs, root);
 }
 
@@ -475,17 +447,14 @@ void Comm::scatterv(const ByteBuffer& sendbuf,
                     ByteBuffer& recvbuf, int recvcount, int root) const {
   JHPC_REQUIRE(valid(), "scatterv on invalid communicator");
   const std::size_t rbytes = basic_only(recvcount, type, "scatterv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(sendcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
+  const auto counts = detail::to_bytes(sendcounts, type.size());
+  const auto offs = detail::to_bytes(displs, type.size());
   env_->jvm_->jni().crossing();
-  const std::byte* sp = nullptr;
-  if (getRank() == root) {
-    std::size_t span_end = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      span_end = std::max(span_end, offs[i] + counts[i]);
-    sp = buffer_address(sendbuf, span_end, "scatterv");
-  }
+  const std::byte* sp =
+      getRank() == root ? buffer_address(sendbuf,
+                                         detail::span_end(counts, offs),
+                                         "scatterv")
+                        : nullptr;
   std::byte* rp = buffer_address(recvbuf, rbytes, "scatterv");
   native_.scatterv(sp, counts, offs, rp, rbytes, root);
 }
@@ -496,15 +465,12 @@ void Comm::allGatherv(const ByteBuffer& sendbuf, int sendcount,
                       std::span<const int> displs) const {
   JHPC_REQUIRE(valid(), "allGatherv on invalid communicator");
   const std::size_t sbytes = basic_only(sendcount, type, "allGatherv");
-  std::vector<std::size_t> counts, offs;
-  to_bytes(recvcounts, type.size(), &counts);
-  to_bytes(displs, type.size(), &offs);
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i)
-    span_end = std::max(span_end, offs[i] + counts[i]);
+  const auto counts = detail::to_bytes(recvcounts, type.size());
+  const auto offs = detail::to_bytes(displs, type.size());
   env_->jvm_->jni().crossing();
   const std::byte* sp = buffer_address(sendbuf, sbytes, "allGatherv");
-  std::byte* rp = buffer_address(recvbuf, span_end, "allGatherv");
+  std::byte* rp =
+      buffer_address(recvbuf, detail::span_end(counts, offs), "allGatherv");
   native_.allgatherv(sp, sbytes, rp, counts, offs);
 }
 
@@ -515,19 +481,15 @@ void Comm::allToAllv(const ByteBuffer& sendbuf,
                      std::span<const int> rdispls) const {
   JHPC_REQUIRE(valid(), "allToAllv on invalid communicator");
   (void)basic_only(0, type, "allToAllv");
-  std::vector<std::size_t> sc, so, rc, ro;
-  to_bytes(sendcounts, type.size(), &sc);
-  to_bytes(sdispls, type.size(), &so);
-  to_bytes(recvcounts, type.size(), &rc);
-  to_bytes(rdispls, type.size(), &ro);
-  std::size_t s_end = 0, r_end = 0;
-  for (std::size_t i = 0; i < sc.size(); ++i)
-    s_end = std::max(s_end, so[i] + sc[i]);
-  for (std::size_t i = 0; i < rc.size(); ++i)
-    r_end = std::max(r_end, ro[i] + rc[i]);
+  const auto sc = detail::to_bytes(sendcounts, type.size());
+  const auto so = detail::to_bytes(sdispls, type.size());
+  const auto rc = detail::to_bytes(recvcounts, type.size());
+  const auto ro = detail::to_bytes(rdispls, type.size());
   env_->jvm_->jni().crossing();
-  const std::byte* sp = buffer_address(sendbuf, s_end, "allToAllv");
-  std::byte* rp = buffer_address(recvbuf, r_end, "allToAllv");
+  const std::byte* sp =
+      buffer_address(sendbuf, detail::span_end(sc, so), "allToAllv");
+  std::byte* rp =
+      buffer_address(recvbuf, detail::span_end(rc, ro), "allToAllv");
   native_.alltoallv(sp, sc, so, rp, rc, ro);
 }
 

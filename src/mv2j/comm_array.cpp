@@ -1,5 +1,9 @@
-// Java-array paths of the MVAPICH2-J bindings: the paper's Figure 3
-// pipeline, built on the mpjbuf buffering layer.
+// Java-array paths of the binding core. Every call stages its arrays by
+// the profile's policy (class Stage below), then makes one JNI crossing
+// and the native MPI call on the staged memory.
+//
+// MVAPICH2-J is the paper's Figure 3 pipeline, built on the mpjbuf
+// buffering layer:
 //
 //   1. acquire a pooled direct staging buffer,
 //   2. bulk-copy the Java array onto it (mpjbuf write),
@@ -8,10 +12,14 @@
 //   (receive side mirrors with mpjbuf read).
 //
 // Because the staging buffer can outlive the call inside a Request, the
-// same pipeline supports non-blocking operations — the capability the
-// Open MPI Java bindings lack for arrays.
+// same pipeline supports non-blocking operations. Open MPI-J has no pool:
+// a region malloc'd per call (Get/Set<Type>ArrayRegion) cannot outlive
+// the call, so it rejects arrays with iSend/iRecv, and it cannot pack
+// derived datatypes.
+#include <climits>
 #include <memory>
 
+#include "checks.hpp"
 #include "jhpc/minijvm/jni.hpp"
 #include "jhpc/mv2j/comm.hpp"
 #include "jhpc/mv2j/env.hpp"
@@ -19,64 +27,162 @@
 
 namespace jhpc::mv2j {
 
+using detail::basic_only;
+using detail::payload_bytes;
+
 namespace {
 
+/// How a rank stages arrays: MVAPICH2-J's pool, or (null) Open MPI-J's
+/// per-call regions.
+struct Stager {
+  mpjbuf::BufferFactory* pool;
+  minijvm::JniEnv& jni;
+};
+
 /// Validate an (offset, count, type) triple against a backing array.
-/// Works for basic and derived datatypes: the span check uses the type's
-/// extent (slightly conservative for trailing strided gaps).
-template <minijvm::JavaPrimitive T>
-void check_args(const JArray<T>& buf, std::size_t offset, int count,
-                const Datatype& type, const char* what) {
+/// With a pool, derived datatypes are packed through the buffering layer
+/// (the span check uses the type's extent, slightly conservative for
+/// trailing strided gaps, and the layout may not reach below the array
+/// start); without one only basic types are accepted.
+template <JavaPrimitive T>
+void check_args(const Stager& sg, const JArray<T>& buf, std::size_t offset,
+                int count, const Datatype& type, const char* what) {
   JHPC_REQUIRE(count >= 0, std::string(what) + ": negative count");
-  JHPC_REQUIRE(kind_of<T>() == type.leafKind(),
+  const bool basic = type.isBasic();
+  JHPC_REQUIRE(kind_of<T>() == type.leafKind() &&
+                   (basic || sg.pool != nullptr),
                std::string(what) + ": datatype does not match array type");
   const std::size_t span_bytes =
       offset * sizeof(T) + static_cast<std::size_t>(count) * type.extent();
   JHPC_REQUIRE(span_bytes <= buf.length() * sizeof(T),
                std::string(what) + ": offset+count exceeds array length");
+  const std::ptrdiff_t lb = basic ? 0 : type.native().true_lb();
+  JHPC_REQUIRE(count == 0 || lb >= 0 ||
+                   static_cast<std::size_t>(-lb) <= offset * sizeof(T),
+               std::string(what) + ": datatype reaches below the array start");
 }
 
-template <minijvm::JavaPrimitive T>
-void check_args(const JArray<T>& buf, int count, const Datatype& type,
-                const char* what) {
-  check_args(buf, 0, count, type, what);
+template <JavaPrimitive T>
+void check_args(const Stager& sg, const JArray<T>& buf, int count,
+                const Datatype& type, const char* what) {
+  check_args(sg, buf, 0, count, type, what);
 }
 
-/// Payload bytes carried by `count` elements of `type`.
-std::size_t payload_of(int count, const Datatype& type) {
-  return static_cast<std::size_t>(count) * type.size();
+[[noreturn]] void no_nonblocking_arrays() {
+  throw UnsupportedOperationError(
+      "Open MPI-J does not support Java arrays with non-blocking "
+      "point-to-point operations (use a direct ByteBuffer)");
 }
 
-/// Copy `count` elements of `type` starting at element `offset` of `buf`
-/// onto the staging buffer (Figure 3 step 2). Basic types take the bulk
-/// path; derived types are packed element by element (the gather the
-/// buffering layer exists for).
-template <minijvm::JavaPrimitive T>
-void stage_in(mpjbuf::Buffer& stage, const JArray<T>& buf,
-              std::size_t offset, int count, const Datatype& type) {
-  if (type.isBasic()) {
-    stage.write(buf, offset, static_cast<std::size_t>(count));
-  } else {
-    type.native().pack(buf.raw_address() + offset * sizeof(T),
-                       stage.reserve(payload_of(count, type)), count);
+std::size_t checked_offset(int offset, const char* what) {
+  JHPC_REQUIRE(offset >= 0, std::string(what) + ": negative offset");
+  return static_cast<std::size_t>(offset);
+}
+
+/// `count` elements for each of `ranks` ranks, as one element count.
+int all_ranks(int count, int ranks, const char* what) {
+  JHPC_REQUIRE(count >= 0, std::string(what) + ": negative count");
+  const auto total =
+      static_cast<std::size_t>(count) * static_cast<std::size_t>(ranks);
+  JHPC_REQUIRE(total <= static_cast<std::size_t>(INT_MAX),
+               std::string(what) + ": count * size overflows int");
+  return static_cast<int>(total);
+}
+
+/// Native memory for one side of one call: `count` elements of `type`
+/// from element `offset` of a Java array.
+///
+///   * Pool (MVAPICH2-J): a pooled direct buffer. The array is copied in
+///     only when the native call reads it (`in`) and copied out only
+///     after the call wrote it; derived types are packed onto consecutive
+///     staging locations (paper Section IV-B).
+///   * No pool (Open MPI-J): a region malloc'd per call and sized by the
+///     message. Get<Type>ArrayRegion copies in unconditionally (the
+///     binding cannot know whether the native routine reads it) and
+///     Set<Type>ArrayRegion copies the whole region back.
+template <JavaPrimitive T>
+class Stage {
+ public:
+  /// No memory (the unused side of a rooted collective).
+  Stage() = default;
+
+  /// Scratch memory for `bytes` with no array behind it.
+  Stage(const Stager& sg, std::size_t bytes) : bytes_(bytes) {
+    if (sg.pool != nullptr) {
+      pooled_ = sg.pool->get(bytes);
+    } else {
+      region_.resize(bytes / sizeof(T));
+    }
   }
-  stage.commit();
-}
 
-/// Inverse of stage_in: scatter `bytes` of staged payload back into the
-/// array at element `offset`.
-template <minijvm::JavaPrimitive T>
-void stage_out(mpjbuf::Buffer& stage, JArray<T>& buf, std::size_t offset,
-               const Datatype& type, std::size_t bytes) {
-  stage.notify_native_write(bytes);
-  if (type.isBasic()) {
-    stage.read(buf, offset, bytes / sizeof(T));
-  } else {
-    const auto count = static_cast<int>(bytes / type.size());
-    type.native().unpack(stage.consume(bytes),
-                         buf.raw_address() + offset * sizeof(T), count);
+  Stage(const Stager& sg, const JArray<T>& array, std::size_t offset,
+        int count, const Datatype& type, bool in)
+      : offset_(offset), bytes_(payload_bytes(count, type)) {
+    if (sg.pool == nullptr) {
+      jni_ = &sg.jni;
+      region_.resize(bytes_ / sizeof(T));
+      jni_->get_array_region(array, offset, region_.size(), region_.data());
+      return;
+    }
+    pooled_ = sg.pool->get(bytes_);
+    if (!in) return;
+    if (type.isBasic()) {
+      pooled_.write(array, offset, static_cast<std::size_t>(count));
+    } else {
+      type.native().pack(array.raw_address() + offset * sizeof(T),
+                         pooled_.reserve(bytes_), count);
+    }
+    pooled_.commit();
   }
-}
+
+  std::byte* data() {
+    if (pooled_.is_valid()) return pooled_.native_address();
+    return region_.empty() ? nullptr
+                           : reinterpret_cast<std::byte*>(region_.data());
+  }
+  std::size_t bytes() const { return bytes_; }
+
+  /// The native call wrote `bytes` of `type` elements: copy them back into
+  /// `array` (the array this stage was made from).
+  void copy_back(JArray<T>& array, std::size_t bytes, const Datatype& type) {
+    if (jni_ != nullptr) {
+      jni_->set_array_region(array, offset_, region_.size(), region_.data());
+      return;
+    }
+    pooled_.notify_native_write(bytes);
+    if (type.isBasic()) {
+      pooled_.read(array, offset_, bytes / sizeof(T));
+    } else {
+      const auto count = static_cast<int>(bytes / type.size());
+      type.native().unpack(pooled_.consume(bytes),
+                           array.raw_address() + offset_ * sizeof(T), count);
+    }
+  }
+
+ private:
+  minijvm::JniEnv* jni_ = nullptr;  ///< set for a per-call region
+  std::size_t offset_ = 0;
+  std::size_t bytes_ = 0;
+  mpjbuf::Buffer pooled_;
+  std::vector<T> region_;
+};
+
+/// Byte counts/displacements of a vectored array collective, whose
+/// element counts are in T units (basic datatypes only).
+template <JavaPrimitive T>
+struct Layout {
+  Layout(std::span<const int> counts_in, std::span<const int> displs_in)
+      : counts(detail::to_bytes(counts_in, sizeof(T))),
+        offs(detail::to_bytes(displs_in, sizeof(T))),
+        end(detail::span_end(counts, offs)) {}
+  std::vector<std::size_t> counts, offs;
+  std::size_t end;
+  int elems() const {
+    JHPC_REQUIRE(end / sizeof(T) <= static_cast<std::size_t>(INT_MAX),
+                 "vectored collective: layout exceeds int elements");
+    return static_cast<int>(end / sizeof(T));
+  }
+};
 
 }  // namespace
 
@@ -86,13 +192,12 @@ template <JavaPrimitive T>
 void Comm::send(const JArray<T>& buf, int offset, int count,
                 const Datatype& type, int dest, int tag) const {
   JHPC_REQUIRE(valid(), "send on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "send: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "send");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);            // step 1
-  stage_in(stage, buf, static_cast<std::size_t>(offset), count, type);
-  env_->jvm_->jni().crossing();                              // step 3
-  native_.send(stage.native_address(), bytes, dest, tag);    // step 4
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  const std::size_t off = checked_offset(offset, "send");
+  check_args(sg, buf, off, count, type, "send");
+  Stage<T> stage(sg, buf, off, count, type, true);           // steps 1-2
+  sg.jni.crossing();                                         // step 3
+  native_.send(stage.data(), stage.bytes(), dest, tag);      // step 4
 }
 
 template <JavaPrimitive T>
@@ -105,15 +210,14 @@ template <JavaPrimitive T>
 Status Comm::recv(JArray<T>& buf, int offset, int count,
                   const Datatype& type, int source, int tag) const {
   JHPC_REQUIRE(valid(), "recv on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "recv: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "recv");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);
-  env_->jvm_->jni().crossing();
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  const std::size_t off = checked_offset(offset, "recv");
+  check_args(sg, buf, off, count, type, "recv");
+  Stage<T> stage(sg, buf, off, count, type, false);
+  sg.jni.crossing();
   minimpi::Status st;
-  native_.recv(stage.native_address(), bytes, source, tag, &st);
-  stage_out(stage, buf, static_cast<std::size_t>(offset), type,
-            st.count_bytes);
+  native_.recv(stage.data(), stage.bytes(), source, tag, &st);
+  stage.copy_back(buf, st.count_bytes, type);
   return Status(st);
 }
 
@@ -127,14 +231,13 @@ template <JavaPrimitive T>
 Request Comm::iSend(const JArray<T>& buf, int offset, int count,
                     const Datatype& type, int dest, int tag) const {
   JHPC_REQUIRE(valid(), "iSend on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "iSend: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "iSend");
-  const std::size_t bytes = payload_of(count, type);
-  auto stage = std::make_shared<mpjbuf::Buffer>(env_->pool_->get(bytes));
-  stage_in(*stage, buf, static_cast<std::size_t>(offset), count, type);
-  env_->jvm_->jni().crossing();
-  minimpi::Request r =
-      native_.isend(stage->native_address(), bytes, dest, tag);
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  if (sg.pool == nullptr) no_nonblocking_arrays();
+  const std::size_t off = checked_offset(offset, "iSend");
+  check_args(sg, buf, off, count, type, "iSend");
+  auto stage = std::make_shared<Stage<T>>(sg, buf, off, count, type, true);
+  sg.jni.crossing();
+  minimpi::Request r = native_.isend(stage->data(), stage->bytes(), dest, tag);
   auto completion = std::make_shared<Request::CompletionState>();
   // Nothing to copy back; the completion merely keeps the staging buffer
   // alive until the native send no longer needs it.
@@ -152,20 +255,20 @@ template <JavaPrimitive T>
 Request Comm::iRecv(JArray<T>& buf, int offset, int count,
                     const Datatype& type, int source, int tag) const {
   JHPC_REQUIRE(valid(), "iRecv on invalid communicator");
-  JHPC_REQUIRE(offset >= 0, "iRecv: negative offset");
-  check_args(buf, static_cast<std::size_t>(offset), count, type, "iRecv");
-  const std::size_t bytes = payload_of(count, type);
-  auto stage = std::make_shared<mpjbuf::Buffer>(env_->pool_->get(bytes));
-  env_->jvm_->jni().crossing();
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  if (sg.pool == nullptr) no_nonblocking_arrays();
+  const std::size_t off = checked_offset(offset, "iRecv");
+  check_args(sg, buf, off, count, type, "iRecv");
+  auto stage = std::make_shared<Stage<T>>(sg, buf, off, count, type, false);
+  sg.jni.crossing();
   minimpi::Request r =
-      native_.irecv(stage->native_address(), bytes, source, tag);
+      native_.irecv(stage->data(), stage->bytes(), source, tag);
   auto completion = std::make_shared<Request::CompletionState>();
   JArray<T> target = buf;  // shared handle: keeps the array alive
-  const auto off = static_cast<std::size_t>(offset);
   const Datatype dt = type;
-  completion->on_complete = [stage, target, off,
+  completion->on_complete = [stage, target,
                              dt](const minimpi::Status& st) mutable {
-    stage_out(*stage, target, off, dt, st.count_bytes);
+    stage->copy_back(target, st.count_bytes, dt);
   };
   return Request(std::move(r), std::move(completion));
 }
@@ -182,59 +285,46 @@ template <JavaPrimitive T>
 void Comm::bcast(JArray<T>& buf, int count, const Datatype& type,
                  int root) const {
   JHPC_REQUIRE(valid(), "bcast on invalid communicator");
-  check_args(buf, count, type, "bcast");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer stage = env_->pool_->get(bytes);
-  if (getRank() == root) {
-    stage.write(buf, 0, static_cast<std::size_t>(count));
-    stage.commit();
-  }
-  env_->jvm_->jni().crossing();
-  native_.bcast(stage.native_address(), bytes, root);
-  if (getRank() != root) {
-    stage.notify_native_write(bytes);
-    stage.read(buf, 0, static_cast<std::size_t>(count));
-  }
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, buf, count, type, "bcast");
+  const bool is_root = getRank() == root;
+  Stage<T> stage(sg, buf, 0, count, type, is_root);
+  sg.jni.crossing();
+  native_.bcast(stage.data(), stage.bytes(), root);
+  if (!is_root) stage.copy_back(buf, stage.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::reduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
                   const Datatype& type, const Op& op, int root) const {
   JHPC_REQUIRE(valid(), "reduce on invalid communicator");
-  check_args(sendbuf, count, type, "reduce");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.reduce(sstage.native_address(), rstage.native_address(),
-                 static_cast<std::size_t>(count), type.kind(), op.native(),
-                 root);
-  if (getRank() == root) {
-    check_args(recvbuf, count, type, "reduce(recv)");
-    rstage.notify_native_write(bytes);
-    rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
-  }
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, count, type, "reduce");
+  const bool is_root = getRank() == root;
+  if (is_root) check_args(sg, recvbuf, count, type, "reduce(recv)");
+  Stage<T> s(sg, sendbuf, 0, count, type, true);
+  // Non-root ranks reduce into scratch memory; only the root's is kept.
+  Stage<T> r = is_root ? Stage<T>(sg, recvbuf, 0, count, type, false)
+                       : Stage<T>(sg, s.bytes());
+  sg.jni.crossing();
+  native_.reduce(s.data(), r.data(), static_cast<std::size_t>(count),
+                 type.kind(), op.native(), root);
+  if (is_root) r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::allReduce(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
                      const Datatype& type, const Op& op) const {
   JHPC_REQUIRE(valid(), "allReduce on invalid communicator");
-  check_args(sendbuf, count, type, "allReduce");
-  check_args(recvbuf, count, type, "allReduce(recv)");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allreduce(sstage.native_address(), rstage.native_address(),
-                    static_cast<std::size_t>(count), type.kind(),
-                    op.native());
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, count, type, "allReduce");
+  check_args(sg, recvbuf, count, type, "allReduce(recv)");
+  Stage<T> s(sg, sendbuf, 0, count, type, true);
+  Stage<T> r(sg, recvbuf, 0, count, type, false);
+  sg.jni.crossing();
+  native_.allreduce(s.data(), r.data(), static_cast<std::size_t>(count),
+                    type.kind(), op.native());
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
@@ -242,131 +332,103 @@ void Comm::reduceScatterBlock(const JArray<T>& sendbuf, JArray<T>& recvbuf,
                               int recvcount, const Datatype& type,
                               const Op& op) const {
   JHPC_REQUIRE(valid(), "reduceScatterBlock on invalid communicator");
-  check_args(recvbuf, recvcount, type, "reduceScatterBlock(recv)");
-  const std::size_t block = payload_of(recvcount, type);
-  const std::size_t total = block * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= total,
-               "reduceScatterBlock: send array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(total);
-  mpjbuf::Buffer rstage = env_->pool_->get(block);
-  sstage.write(sendbuf, 0, total / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.reduce_scatter_block(sstage.native_address(),
-                               rstage.native_address(),
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, recvbuf, recvcount, type, "reduceScatterBlock(recv)");
+  const int total = all_ranks(recvcount, getSize(), "reduceScatterBlock");
+  check_args(sg, sendbuf, total, type, "reduceScatterBlock");
+  Stage<T> s(sg, sendbuf, 0, total, type, true);
+  Stage<T> r(sg, recvbuf, 0, recvcount, type, false);
+  sg.jni.crossing();
+  native_.reduce_scatter_block(s.data(), r.data(),
                                static_cast<std::size_t>(recvcount),
                                type.kind(), op.native());
-  rstage.notify_native_write(block);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(recvcount));
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::scan(const JArray<T>& sendbuf, JArray<T>& recvbuf, int count,
                 const Datatype& type, const Op& op) const {
   JHPC_REQUIRE(valid(), "scan on invalid communicator");
-  check_args(sendbuf, count, type, "scan");
-  check_args(recvbuf, count, type, "scan(recv)");
-  const std::size_t bytes = payload_of(count, type);
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.scan(sstage.native_address(), rstage.native_address(),
-               static_cast<std::size_t>(count), type.kind(), op.native());
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, count, type, "scan");
+  check_args(sg, recvbuf, count, type, "scan(recv)");
+  Stage<T> s(sg, sendbuf, 0, count, type, true);
+  Stage<T> r(sg, recvbuf, 0, count, type, false);
+  sg.jni.crossing();
+  native_.scan(s.data(), r.data(), static_cast<std::size_t>(count),
+               type.kind(), op.native());
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::gather(const JArray<T>& sendbuf, int count, const Datatype& type,
                   JArray<T>& recvbuf, int root) const {
   JHPC_REQUIRE(valid(), "gather on invalid communicator");
-  check_args(sendbuf, count, type, "gather");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  mpjbuf::Buffer rstage =
-      getRank() == root ? env_->pool_->get(total) : mpjbuf::Buffer{};
-  env_->jvm_->jni().crossing();
-  native_.gather(sstage.native_address(), bytes,
-                 getRank() == root ? rstage.native_address() : nullptr,
-                 root);
-  if (getRank() == root) {
-    JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-                 "gather: receive array too small");
-    rstage.notify_native_write(total);
-    rstage.read(recvbuf, 0, total / sizeof(T));
-  }
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, count, type, "gather");
+  const bool is_root = getRank() == root;
+  const int total = all_ranks(count, getSize(), "gather");
+  if (is_root) check_args(sg, recvbuf, total, type, "gather(recv)");
+  Stage<T> s(sg, sendbuf, 0, count, type, true);
+  Stage<T> r = is_root ? Stage<T>(sg, recvbuf, 0, total, type, false)
+                       : Stage<T>();
+  sg.jni.crossing();
+  native_.gather(s.data(), s.bytes(), r.data(), root);
+  if (is_root) r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::scatter(const JArray<T>& sendbuf, int count, const Datatype& type,
                    JArray<T>& recvbuf, int root) const {
   JHPC_REQUIRE(valid(), "scatter on invalid communicator");
-  check_args(recvbuf, count, type, "scatter(recv)");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  mpjbuf::Buffer sstage =
-      getRank() == root ? env_->pool_->get(total) : mpjbuf::Buffer{};
-  if (getRank() == root) {
-    JHPC_REQUIRE(sendbuf.length() >= total / sizeof(T),
-                 "scatter: send array too small");
-    sstage.write(sendbuf, 0, total / sizeof(T));
-    sstage.commit();
-  }
-  mpjbuf::Buffer rstage = env_->pool_->get(bytes);
-  env_->jvm_->jni().crossing();
-  native_.scatter(getRank() == root ? sstage.native_address() : nullptr,
-                  bytes, rstage.native_address(), root);
-  rstage.notify_native_write(bytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(count));
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, recvbuf, count, type, "scatter(recv)");
+  const bool is_root = getRank() == root;
+  const int total = all_ranks(count, getSize(), "scatter");
+  if (is_root) check_args(sg, sendbuf, total, type, "scatter");
+  Stage<T> s = is_root ? Stage<T>(sg, sendbuf, 0, total, type, true)
+                       : Stage<T>();
+  Stage<T> r(sg, recvbuf, 0, count, type, false);
+  sg.jni.crossing();
+  native_.scatter(s.data(), r.bytes(), r.data(), root);
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::allGather(const JArray<T>& sendbuf, int count,
                      const Datatype& type, JArray<T>& recvbuf) const {
   JHPC_REQUIRE(valid(), "allGather on invalid communicator");
-  check_args(sendbuf, count, type, "allGather");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-               "allGather: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(bytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(total);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(count));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allgather(sstage.native_address(), bytes, rstage.native_address());
-  rstage.notify_native_write(total);
-  rstage.read(recvbuf, 0, total / sizeof(T));
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, count, type, "allGather");
+  const int total = all_ranks(count, getSize(), "allGather");
+  check_args(sg, recvbuf, total, type, "allGather(recv)");
+  Stage<T> s(sg, sendbuf, 0, count, type, true);
+  Stage<T> r(sg, recvbuf, 0, total, type, false);
+  sg.jni.crossing();
+  native_.allgather(s.data(), s.bytes(), r.data());
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
 void Comm::allToAll(const JArray<T>& sendbuf, int count,
                     const Datatype& type, JArray<T>& recvbuf) const {
   JHPC_REQUIRE(valid(), "allToAll on invalid communicator");
-  const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
-  const std::size_t total = bytes * static_cast<std::size_t>(getSize());
-  JHPC_REQUIRE(sendbuf.length() >= total / sizeof(T),
-               "allToAll: send array too small");
-  JHPC_REQUIRE(recvbuf.length() >= total / sizeof(T),
-               "allToAll: receive array too small");
-  JHPC_REQUIRE(kind_of<T>() == type.kind(),
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  JHPC_REQUIRE(type.isBasic() && kind_of<T>() == type.kind(),
                "allToAll: datatype does not match array type");
-  mpjbuf::Buffer sstage = env_->pool_->get(total);
-  mpjbuf::Buffer rstage = env_->pool_->get(total);
-  sstage.write(sendbuf, 0, total / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.alltoall(sstage.native_address(), bytes, rstage.native_address());
-  rstage.notify_native_write(total);
-  rstage.read(recvbuf, 0, total / sizeof(T));
+  const int total = all_ranks(count, getSize(), "allToAll");
+  check_args(sg, sendbuf, total, type, "allToAll");
+  check_args(sg, recvbuf, total, type, "allToAll(recv)");
+  Stage<T> s(sg, sendbuf, 0, total, type, true);
+  Stage<T> r(sg, recvbuf, 0, total, type, false);
+  sg.jni.crossing();
+  native_.alltoall(s.data(), payload_bytes(count, type), r.data());
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 // --- Vectored collectives ----------------------------------------------------------
+// Counts and displacements are in elements of T, so these take basic
+// datatypes only (as the vectored ByteBuffer collectives do).
 
 template <JavaPrimitive T>
 void Comm::gatherv(const JArray<T>& sendbuf, int sendcount,
@@ -374,33 +436,21 @@ void Comm::gatherv(const JArray<T>& sendbuf, int sendcount,
                    std::span<const int> recvcounts,
                    std::span<const int> displs, int root) const {
   JHPC_REQUIRE(valid(), "gatherv on invalid communicator");
-  check_args(sendbuf, sendcount, type, "gatherv");
-  const std::size_t sbytes =
-      static_cast<std::size_t>(sendcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  counts.reserve(recvcounts.size());
-  offs.reserve(displs.size());
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  mpjbuf::Buffer sstage = env_->pool_->get(sbytes);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(sendcount));
-  sstage.commit();
-  mpjbuf::Buffer rstage =
-      getRank() == root ? env_->pool_->get(span_end) : mpjbuf::Buffer{};
-  env_->jvm_->jni().crossing();
-  native_.gatherv(sstage.native_address(), sbytes,
-                  getRank() == root ? rstage.native_address() : nullptr,
-                  counts, offs, root);
-  if (getRank() == root) {
-    JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= span_end,
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, sendcount, type, "gatherv");
+  (void)basic_only(sendcount, type, "gatherv");
+  const Layout<T> in(recvcounts, displs);
+  const bool is_root = getRank() == root;
+  if (is_root) {
+    JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= in.end,
                  "gatherv: receive array too small");
-    rstage.notify_native_write(span_end);
-    rstage.read(recvbuf, 0, span_end / sizeof(T));
   }
+  Stage<T> s(sg, sendbuf, 0, sendcount, type, true);
+  Stage<T> r = is_root ? Stage<T>(sg, recvbuf, 0, in.elems(), type, false)
+                       : Stage<T>();
+  sg.jni.crossing();
+  native_.gatherv(s.data(), s.bytes(), r.data(), in.counts, in.offs, root);
+  if (is_root) r.copy_back(recvbuf, in.end, type);
 }
 
 template <JavaPrimitive T>
@@ -409,30 +459,22 @@ void Comm::scatterv(const JArray<T>& sendbuf,
                     std::span<const int> displs, const Datatype& type,
                     JArray<T>& recvbuf, int recvcount, int root) const {
   JHPC_REQUIRE(valid(), "scatterv on invalid communicator");
-  check_args(recvbuf, recvcount, type, "scatterv(recv)");
-  const std::size_t rbytes =
-      static_cast<std::size_t>(recvcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < sendcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(sendcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  mpjbuf::Buffer sstage =
-      getRank() == root ? env_->pool_->get(span_end) : mpjbuf::Buffer{};
-  if (getRank() == root) {
-    JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= span_end,
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, recvbuf, recvcount, type, "scatterv(recv)");
+  (void)basic_only(recvcount, type, "scatterv");
+  const Layout<T> out(sendcounts, displs);
+  const bool is_root = getRank() == root;
+  if (is_root) {
+    JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= out.end,
                  "scatterv: send array too small");
-    sstage.write(sendbuf, 0, span_end / sizeof(T));
-    sstage.commit();
   }
-  mpjbuf::Buffer rstage = env_->pool_->get(rbytes);
-  env_->jvm_->jni().crossing();
-  native_.scatterv(getRank() == root ? sstage.native_address() : nullptr,
-                   counts, offs, rstage.native_address(), rbytes, root);
-  rstage.notify_native_write(rbytes);
-  rstage.read(recvbuf, 0, static_cast<std::size_t>(recvcount));
+  Stage<T> s = is_root ? Stage<T>(sg, sendbuf, 0, out.elems(), type, true)
+                       : Stage<T>();
+  Stage<T> r(sg, recvbuf, 0, recvcount, type, false);
+  sg.jni.crossing();
+  native_.scatterv(s.data(), out.counts, out.offs, r.data(), r.bytes(),
+                   root);
+  r.copy_back(recvbuf, r.bytes(), type);
 }
 
 template <JavaPrimitive T>
@@ -441,27 +483,17 @@ void Comm::allGatherv(const JArray<T>& sendbuf, int sendcount,
                       std::span<const int> recvcounts,
                       std::span<const int> displs) const {
   JHPC_REQUIRE(valid(), "allGatherv on invalid communicator");
-  check_args(sendbuf, sendcount, type, "allGatherv");
-  const std::size_t sbytes =
-      static_cast<std::size_t>(sendcount) * sizeof(T);
-  std::vector<std::size_t> counts, offs;
-  std::size_t span_end = 0;
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    counts.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    offs.push_back(static_cast<std::size_t>(displs[i]) * sizeof(T));
-    span_end = std::max(span_end, offs.back() + counts.back());
-  }
-  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= span_end,
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  check_args(sg, sendbuf, sendcount, type, "allGatherv");
+  (void)basic_only(sendcount, type, "allGatherv");
+  const Layout<T> in(recvcounts, displs);
+  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= in.end,
                "allGatherv: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(sbytes);
-  mpjbuf::Buffer rstage = env_->pool_->get(span_end);
-  sstage.write(sendbuf, 0, static_cast<std::size_t>(sendcount));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.allgatherv(sstage.native_address(), sbytes,
-                     rstage.native_address(), counts, offs);
-  rstage.notify_native_write(span_end);
-  rstage.read(recvbuf, 0, span_end / sizeof(T));
+  Stage<T> s(sg, sendbuf, 0, sendcount, type, true);
+  Stage<T> r(sg, recvbuf, 0, in.elems(), type, false);
+  sg.jni.crossing();
+  native_.allgatherv(s.data(), s.bytes(), r.data(), in.counts, in.offs);
+  r.copy_back(recvbuf, in.end, type);
 }
 
 template <JavaPrimitive T>
@@ -471,33 +503,21 @@ void Comm::allToAllv(const JArray<T>& sendbuf,
                      JArray<T>& recvbuf, std::span<const int> recvcounts,
                      std::span<const int> rdispls) const {
   JHPC_REQUIRE(valid(), "allToAllv on invalid communicator");
-  JHPC_REQUIRE(kind_of<T>() == type.kind(),
+  const Stager sg{env_->pool_.get(), env_->jvm_->jni()};
+  JHPC_REQUIRE(type.isBasic() && kind_of<T>() == type.kind(),
                "allToAllv: datatype does not match array type");
-  std::vector<std::size_t> sc, so, rc, ro;
-  std::size_t s_end = 0, r_end = 0;
-  for (std::size_t i = 0; i < sendcounts.size(); ++i) {
-    sc.push_back(static_cast<std::size_t>(sendcounts[i]) * sizeof(T));
-    so.push_back(static_cast<std::size_t>(sdispls[i]) * sizeof(T));
-    s_end = std::max(s_end, so.back() + sc.back());
-  }
-  for (std::size_t i = 0; i < recvcounts.size(); ++i) {
-    rc.push_back(static_cast<std::size_t>(recvcounts[i]) * sizeof(T));
-    ro.push_back(static_cast<std::size_t>(rdispls[i]) * sizeof(T));
-    r_end = std::max(r_end, ro.back() + rc.back());
-  }
-  JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= s_end,
+  const Layout<T> out(sendcounts, sdispls);
+  const Layout<T> in(recvcounts, rdispls);
+  JHPC_REQUIRE(sendbuf.length() * sizeof(T) >= out.end,
                "allToAllv: send array too small");
-  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= r_end,
+  JHPC_REQUIRE(recvbuf.length() * sizeof(T) >= in.end,
                "allToAllv: receive array too small");
-  mpjbuf::Buffer sstage = env_->pool_->get(s_end == 0 ? 1 : s_end);
-  mpjbuf::Buffer rstage = env_->pool_->get(r_end == 0 ? 1 : r_end);
-  sstage.write(sendbuf, 0, s_end / sizeof(T));
-  sstage.commit();
-  env_->jvm_->jni().crossing();
-  native_.alltoallv(sstage.native_address(), sc, so,
-                    rstage.native_address(), rc, ro);
-  rstage.notify_native_write(r_end);
-  rstage.read(recvbuf, 0, r_end / sizeof(T));
+  Stage<T> s(sg, sendbuf, 0, out.elems(), type, true);
+  Stage<T> r(sg, recvbuf, 0, in.elems(), type, false);
+  sg.jni.crossing();
+  native_.alltoallv(s.data(), out.counts, out.offs, r.data(), in.counts,
+                    in.offs);
+  r.copy_back(recvbuf, in.end, type);
 }
 
 // --- Explicit instantiations for the eight Java primitive types --------------

@@ -1,59 +1,63 @@
 #include "jhpc/mv2j/env.hpp"
 
-#include "jhpc/support/error.hpp"
-
 namespace jhpc::mv2j {
 
-minimpi::UniverseConfig RunOptions::universe_config() const {
+minimpi::UniverseConfig RunOptionsCore::universe_config(
+    Profile profile) const {
   minimpi::UniverseConfig cfg;
   cfg.world_size = ranks;
   cfg.fabric = fabric;
   cfg.eager_limit = eager_limit;
-  cfg.suite = hier_collectives
-                  ? minimpi::CollectiveSuite::kHier
-                  : minimpi::CollectiveSuite::kMv2;  // "MVAPICH2" underneath
+  if (hier_collectives) {
+    cfg.suite = minimpi::CollectiveSuite::kHier;
+  } else {
+    cfg.suite = profile == Profile::kMv2j
+                    ? minimpi::CollectiveSuite::kMv2         // "MVAPICH2"
+                    : minimpi::CollectiveSuite::kOmpiBasic;  // "Open MPI"
+  }
   cfg.apply_suite_profile();
   cfg.obs = obs;
   return cfg;
 }
 
-Env::Env(minimpi::Comm& native_world, const RunOptions& options)
-    : jvm_(std::make_unique<minijvm::Jvm>(options.jvm)),
-      pool_(std::make_unique<mpjbuf::BufferFactory>(options.pool)),
+EnvCore::EnvCore(minimpi::Comm& native_world, const minijvm::JvmConfig& jvm,
+                 std::unique_ptr<mpjbuf::BufferFactory> pool)
+    : pool_(std::move(pool)),
+      jvm_(std::make_unique<minijvm::Jvm>(jvm)),
       world_(this, native_world) {
   // Surface this rank's pool stats through the job-wide pvar registry
   // (COMM_WORLD rank == world rank).
-  if (obs::PvarRegistry* reg = native_world.pvars())
+  obs::PvarRegistry* reg = native_world.pvars();
+  if (pool_ != nullptr && reg != nullptr)
     pool_->bind_pvars(*reg, native_world.rank());
 }
 
-Env::~Env() = default;
+EnvCore::~EnvCore() = default;
 
-std::int64_t Env::readPvar(const std::string& name) const {
+Env::Env(minimpi::Comm& native_world, const RunOptions& options)
+    : EnvCore(native_world, options.jvm,
+              std::make_unique<mpjbuf::BufferFactory>(options.pool)) {}
+
+std::int64_t EnvCore::readPvar(const std::string& name) const {
   obs::PvarRegistry* reg = pvars();
   if (reg == nullptr) return 0;
   return reg->read(reg->find(name), world_.native().rank());
 }
 
-obs::HistReading Env::readHistogram(const std::string& name) const {
+obs::HistReading EnvCore::readHistogram(const std::string& name) const {
   obs::PvarRegistry* reg = pvars();
   if (reg == nullptr) return {};
   return reg->read_hist(reg->find(name), world_.native().rank());
 }
 
-std::int64_t Env::histogramPercentile(const std::string& name,
-                                      double p) const {
+std::int64_t EnvCore::histogramPercentile(const std::string& name,
+                                          double p) const {
   return readHistogram(name).percentile(p);
 }
 
 void run(const RunOptions& options,
          const std::function<void(Env&)>& rank_main) {
-  JHPC_REQUIRE(static_cast<bool>(rank_main), "rank_main must be callable");
-  minimpi::Universe::launch(options.universe_config(),
-                            [&options, &rank_main](minimpi::Comm& world) {
-                              Env env(world, options);
-                              rank_main(env);
-                            });
+  detail::launch<Env>(options, rank_main);
 }
 
 }  // namespace jhpc::mv2j

@@ -1,4 +1,7 @@
-// The MVAPICH2-J communicator: the paper's contribution, in API form.
+// The binding core's communicator: the paper's contribution, in API form,
+// and the Open MPI-J baseline it is measured against (the same Java API,
+// so the same class; the rank's Env profile picks the policies — see
+// Profile in jhpc/mv2j/env.hpp).
 //
 // Two families of entry points, as in the Open MPI Java bindings API the
 // paper adopts:
@@ -8,12 +11,13 @@
 //     GetDirectBufferAddress and hands it straight to the native library
 //     (paper Figure 4; zero copy).
 //
-//   * Java arrays — staged through the mpjbuf buffering layer: acquire a
-//     pooled direct buffer, bulk-copy the array onto it, pass that buffer
-//     through JNI (paper Figure 3; one copy each side, no per-message
-//     allocation). Unlike the Open MPI Java bindings, this works for
-//     non-blocking point-to-point operations too, because the staging
-//     buffer lives until the request completes.
+//   * Java arrays — staged by the profile's policy. MVAPICH2-J stages
+//     through the mpjbuf buffering layer: acquire a pooled direct buffer,
+//     bulk-copy the array onto it, pass that buffer through JNI (paper
+//     Figure 3; one copy each side, no per-message allocation). This
+//     works for non-blocking point-to-point operations too, because the
+//     staging buffer lives until the request completes. Open MPI-J
+//     mallocs a region per call instead and cannot do either.
 //
 // The adopted API has no `offset` argument on communication primitives;
 // because the buffering layer supports sub-range staging natively, this
@@ -38,9 +42,9 @@ using minijvm::ByteBuffer;
 using minijvm::JArray;
 using minijvm::JavaPrimitive;
 
-class Env;
+class EnvCore;
 
-/// mpi.Comm / mpi.Intracomm of the MVAPICH2-J bindings.
+/// mpi.Comm / mpi.Intracomm of both Java bindings.
 class Comm {
  public:
   Comm() = default;
@@ -60,15 +64,15 @@ class Comm {
   Request iRecv(ByteBuffer& buf, int count, const Datatype& type, int source,
                 int tag) const;
 
-  // --- Point-to-point: Java array API (staged through mpjbuf) -------------
+  // --- Point-to-point: Java array API (staged by the profile) -------------
   template <JavaPrimitive T>
   void send(const JArray<T>& buf, int count, const Datatype& type, int dest,
             int tag) const;
   template <JavaPrimitive T>
   Status recv(JArray<T>& buf, int count, const Datatype& type, int source,
               int tag) const;
-  /// Supported for arrays (unlike Open MPI-J): the pooled staging buffer
-  /// lives inside the returned Request.
+  /// Arrays: the pooled staging buffer lives inside the returned Request.
+  /// Open MPI-J has no pool and throws UnsupportedOperationError.
   template <JavaPrimitive T>
   Request iSend(const JArray<T>& buf, int count, const Datatype& type,
                 int dest, int tag) const;
@@ -252,16 +256,16 @@ class Comm {
   const minimpi::Comm& native() const { return native_; }
 
  private:
-  friend class Env;
+  friend class EnvCore;
   friend class Win;  // one-sided paths reuse buffer_address/env_
-  Comm(Env* env, minimpi::Comm native) : env_(env), native_(native) {}
+  Comm(EnvCore* env, minimpi::Comm native) : env_(env), native_(native) {}
 
   /// Native pointer of a direct buffer, via the JNI layer; validates
   /// direct-ness and capacity for `bytes`.
   std::byte* buffer_address(const ByteBuffer& buf, std::size_t bytes,
                             const char* what) const;
 
-  Env* env_ = nullptr;
+  EnvCore* env_ = nullptr;
   minimpi::Comm native_;
 };
 

@@ -1,4 +1,4 @@
-// Public value types of the MVAPICH2-J bindings: Datatype, Op, Status.
+// Public value types of the Java bindings: Datatype, Op, Status.
 //
 // MVAPICH2-J adopts the Open MPI Java bindings API (paper Section II-C):
 // camelCase method names, MPI.INT-style datatype constants, no `offset`
@@ -25,7 +25,8 @@ namespace jhpc::mv2j {
 ///
 /// Derived datatypes work on both binding paths. The Java-array path
 /// packs the scattered elements through the buffering layer onto
-/// consecutive staging-buffer locations (paper Section IV-B). The direct
+/// consecutive staging-buffer locations (paper Section IV-B); Open MPI-J
+/// has no buffering layer and rejects them on arrays. The direct
 /// ByteBuffer path hands the raw pointer plus the committed flat layout
 /// to the substrate, which gathers the runs straight into the transport
 /// slab (docs/API.md "Derived datatypes") — no user-side staging copy.

@@ -1,5 +1,5 @@
-// mpi.Win of the MVAPICH2-J bindings: one-sided communication over
-// direct ByteBuffers.
+// mpi.Win of both Java bindings (ompij::Win is this class): one-sided
+// communication over direct ByteBuffers.
 //
 // Same Figure-4 pipeline as the two-sided ByteBuffer paths — reference
 // in, one JNI crossing, GetDirectBufferAddress, native call on the raw
@@ -13,7 +13,8 @@
 //
 // Epoch discipline, completion semantics and the error taxonomy are the
 // substrate's (jhpc/minimpi/win.hpp); these bindings add only the JNI
-// crossing accounting and ByteBuffer capacity validation.
+// crossing accounting (plus Open MPI-J's per-call handle check on data
+// movement) and ByteBuffer capacity validation.
 #pragma once
 
 #include <cstddef>

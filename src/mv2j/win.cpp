@@ -1,22 +1,18 @@
-// One-sided (mpi.Win) paths of the MVAPICH2-J bindings: the Figure-4
-// pipeline applied to RMA — one JNI crossing per call, the direct
-// buffer's stable pointer handed straight to the native window engine.
+// One-sided (mpi.Win) paths of the binding core: the Figure-4 pipeline
+// applied to RMA — one JNI crossing per call, the direct buffer's stable
+// pointer handed straight to the native window engine. Open MPI-J adds
+// its per-call handle check to the data-movement calls.
 #include "jhpc/mv2j/win.hpp"
 
 #include <vector>
 
-#include "jhpc/minijvm/jni.hpp"
+#include "checks.hpp"
 #include "jhpc/mv2j/env.hpp"
 #include "jhpc/support/error.hpp"
 
 namespace jhpc::mv2j {
 
-namespace {
-std::size_t payload_bytes(int count, const Datatype& type) {
-  JHPC_REQUIRE(count >= 0, "negative element count");
-  return static_cast<std::size_t>(count) * type.size();
-}
-}  // namespace
+using detail::payload_bytes;
 
 std::byte* Win::origin_address(const ByteBuffer& buf, int count,
                                const Datatype& type, const char* what) const {
@@ -24,7 +20,7 @@ std::byte* Win::origin_address(const ByteBuffer& buf, int count,
   JHPC_REQUIRE(count >= 0, "negative element count");
   // Origins are always packed payloads (the window engine packs/scatters
   // derived layouts on the target side), so capacity checks use size().
-  comm_.env_->jvm().jni().crossing();
+  comm_.env_->marshalled_crossing();
   return comm_.buffer_address(buf, payload_bytes(count, type), what);
 }
 

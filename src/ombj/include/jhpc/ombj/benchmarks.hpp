@@ -3,9 +3,10 @@
 // Each function runs inside one rank of an already-launched job and
 // returns the per-size results (meaningful on rank 0; the collective
 // benchmarks reduce the per-rank averages as OMB does). The templates are
-// instantiated for both binding environments — mv2j::Env and ompij::Env —
-// which implement the same Java API; the native variants bypass the Java
-// layer entirely (Figure 11's baseline).
+// instantiated for both binding environments — mv2j::Env and ompij::Env,
+// the two profiles of one binding core, so they drive the same Comm
+// class and differ only in the profile's policies; the native variants
+// bypass the Java layer entirely (Figure 11's baseline).
 #pragma once
 
 #include <vector>

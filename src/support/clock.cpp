@@ -26,6 +26,14 @@ double iters_per_ns() {
   return v;
 }
 
+// Burns at least this long stop on the thread CPU clock instead: they
+// can afford its reads (a few hundred ns each), and they must not inherit
+// the skew of the one calibration sample, which load during that sample
+// distorts for the whole process. Shorter burns — the default 400 ns JNI
+// crossing, its 40 ns handle check, small direct allocations — keep the
+// calibrated loop, so the per-call costs they model do not move.
+constexpr std::int64_t kClockedBurnNs = 10'000;
+
 }  // namespace
 
 std::int64_t now_ns() {
@@ -58,9 +66,16 @@ std::int64_t wait_until_ns(std::int64_t deadline_ns) {
 
 void burn_ns(std::int64_t ns) {
   if (ns <= 0) return;
+  volatile std::uint64_t sink = 0;
+  if (ns >= kClockedBurnNs) {
+    const std::int64_t end = thread_cpu_ns() + ns;
+    while (thread_cpu_ns() < end) {
+      for (int i = 0; i < 64; ++i) sink = sink + 1;
+    }
+    return;
+  }
   const auto iters =
       static_cast<std::int64_t>(static_cast<double>(ns) * iters_per_ns());
-  volatile std::uint64_t sink = 0;
   for (std::int64_t i = 0; i < iters; ++i) sink = sink + 1;
 }
 

@@ -26,7 +26,9 @@ std::int64_t thread_cpu_ns();
 /// on small machines. Returns the time observed on exit.
 std::int64_t wait_until_ns(std::int64_t deadline_ns);
 
-/// Calibrated busy-work loop that takes roughly `ns` nanoseconds.
+/// Busy-work that consumes roughly `ns` nanoseconds of thread CPU time:
+/// a calibrated loop for short burns, a loop on the thread CPU clock for
+/// burns of 10 us and more.
 ///
 /// Used to model fixed CPU-side costs (e.g. the JNI crossing) without
 /// descheduling the thread; unlike nanosleep it models work, not waiting.

@@ -292,6 +292,102 @@ TEST(DerivedTypeTest, OmpijRejectsDerivedArrays) {
   });
 }
 
+// The vectored ByteBuffer collectives have no typed substrate form, so
+// both bindings must refuse a derived datatype instead of moving
+// count * size() raw bytes from the base pointer (which gathers the
+// stride gaps, not the packed elements).
+TEST(DerivedTypeTest, OmpijRejectsDerivedVectoredCollectives) {
+  ompij::RunOptions o;
+  o.ranks = 2;
+  o.jvm.jni_crossing_ns = 0;
+  ompij::run(o, [](ompij::Env& env) {
+    ompij::Comm& world = env.COMM_WORLD();
+    const Datatype col = Datatype::vector(2, 1, 2, INT);
+    auto sbuf = env.newDirectBuffer(64);
+    auto rbuf = env.newDirectBuffer(64);
+    for (int i = 0; i < 4; ++i)
+      sbuf.put_int(static_cast<std::size_t>(i) * 4, 10 * world.getRank() + i);
+    const std::vector<int> counts{1, 1};
+    const std::vector<int> displs{0, 1};
+    EXPECT_THROW(world.gatherv(sbuf, 1, col, rbuf, counts, displs, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.scatterv(sbuf, counts, displs, col, rbuf, 1, 0),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.allGatherv(sbuf, 1, col, rbuf, counts, displs),
+                 UnsupportedOperationError);
+    EXPECT_THROW(world.allToAllv(sbuf, counts, displs, col, rbuf, counts,
+                                 displs),
+                 UnsupportedOperationError);
+    world.barrier();
+  });
+}
+
+// The non-vectored array collectives pack derived datatypes like
+// point-to-point: each rank's elements lie extent() apart in its array.
+TEST(DerivedTypeTest, ArrayCollectivesPackStridedElements) {
+  run(fast_opts(2), [](Env& env) {
+    Comm& world = env.COMM_WORLD();
+    const int me = world.getRank();
+    const Datatype pair = Datatype::vector(2, 1, 2, INT);  // ints 0 and 2
+    ASSERT_EQ(pair.extent(), 12u);
+    auto mine = env.newArray<minijvm::jint>(3);
+    mine[0] = 10 * me;
+    mine[1] = -1;
+    mine[2] = 10 * me + 2;
+
+    auto all = env.newArray<minijvm::jint>(6);  // 2 elements, 3 ints apart
+    world.allGather(mine, 1, pair, all);
+    EXPECT_EQ(all[0], 0);
+    EXPECT_EQ(all[2], 2);
+    EXPECT_EQ(all[3], 10);
+    EXPECT_EQ(all[5], 12);
+    EXPECT_EQ(all[1], 0) << "stride gaps stay untouched";
+    EXPECT_EQ(all[4], 0);
+
+    auto gathered = env.newArray<minijvm::jint>(6);
+    world.gather(mine, 1, pair, gathered, 0);
+    if (me == 0) {
+      EXPECT_EQ(gathered[0], 0);
+      EXPECT_EQ(gathered[2], 2);
+      EXPECT_EQ(gathered[3], 10);
+      EXPECT_EQ(gathered[5], 12);
+      EXPECT_EQ(gathered[1], 0);
+      EXPECT_EQ(gathered[4], 0);
+    }
+
+    auto src = env.newArray<minijvm::jint>(6);
+    for (std::size_t i = 0; i < 6; ++i) src[i] = static_cast<int>(100 + i);
+    auto got = env.newArray<minijvm::jint>(3);
+    world.scatter(src, 1, pair, got, 0);
+    EXPECT_EQ(got[0], 100 + 3 * me);
+    EXPECT_EQ(got[2], 102 + 3 * me);
+    EXPECT_EQ(got[1], 0);
+  });
+}
+
+// An array sized count * size() is too small for a strided type: packing
+// or unpacking it steps extent() apart and would leave the array. One
+// rank, so the root-only checks cannot strand a peer.
+TEST(DerivedTypeTest, ArrayCollectivesCheckExtentNotSize) {
+  run(fast_opts(1), [](Env& env) {
+    Comm& world = env.COMM_WORLD();
+    const Datatype pair = Datatype::vector(2, 1, 2, INT);
+    auto fits = env.newArray<minijvm::jint>(3);   // count * extent()
+    auto tight = env.newArray<minijvm::jint>(2);  // count * size()
+    EXPECT_THROW(world.gather(fits, 1, pair, tight, 0), InvalidArgumentError);
+    EXPECT_THROW(world.scatter(tight, 1, pair, fits, 0),
+                 InvalidArgumentError);
+    EXPECT_THROW(world.allGather(fits, 1, pair, tight), InvalidArgumentError);
+    EXPECT_THROW(world.reduceScatterBlock(tight, fits, 1, pair, SUM),
+                 InvalidArgumentError);
+    // A negative-stride type reaches below element 0 of the array.
+    const Datatype back = Datatype::vector(2, 1, -2, INT);
+    auto five = env.newArray<minijvm::jint>(5);
+    EXPECT_THROW(world.allGather(five, 1, back, five), InvalidArgumentError);
+    world.gather(fits, 1, pair, fits, 0);  // an exact fit is accepted
+  });
+}
+
 TEST(DerivedTypeTest, GcSafeDuringDerivedNonBlocking) {
   run(fast_opts(2), [](Env& env) {
     Comm& world = env.COMM_WORLD();

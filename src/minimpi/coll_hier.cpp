@@ -6,8 +6,10 @@
 // Every operation follows one template over its node's segment:
 //
 //   IN   members publish (slot.ptr/vtime) and arrive(seq)
-//   MID  the node leader runs the inter-node phase among all leaders,
-//        using the mv2-shaped trees on the parent communicator
+//   MID  the node leader runs the inter-node phase among all leaders:
+//        the schedule engine's mv2 builders over leader indices, on the
+//        parent communicator's fixed hier tags (no sub-communicator is
+//        materialised; the non-leaders' tag sequence is left alone)
 //   OUT  the leader publishes (pub_ptr/pub_vtime) and releases(seq);
 //        members consume single-copy and acknowledge done(seq)
 //   END  the leader (and the rank whose live buffer was published) waits
@@ -32,6 +34,7 @@
 
 #include "detail/coll.hpp"
 #include "detail/coll_hier.hpp"
+#include "detail/coll_nbc.hpp"
 #include "detail/transport.hpp"
 #include "jhpc/support/error.hpp"
 
@@ -103,8 +106,9 @@ HierSeg* segment_of(const Topo& t, const Ctx& h) {
 
 /// Spin until `flag` >= seq, polling the abort flag and the failure
 /// state so a dead peer or a revoked communicator surfaces as its typed
-/// error instead of a hang. The spin's CPU is discarded afterwards via
-/// resync (the rank is waiting, not computing).
+/// error instead of a hang, and progressing the rank's outstanding
+/// i-collectives (a peer may be waiting on them). The spin's CPU is
+/// discarded afterwards via resync (the rank is waiting, not computing).
 void wait_flag(const Ctx& h, const std::atomic<std::uint64_t>& flag,
                std::uint64_t seq) {
   unsigned spins = 0;
@@ -112,6 +116,8 @@ void wait_flag(const Ctx& h, const std::atomic<std::uint64_t>& flag,
     if ((++spins & 0x3Fu) == 0) {
       h.uni->throw_if_aborted();
       h.uni->check_self_alive(h.my_world);
+      if (!h.uni->nbc[static_cast<std::size_t>(h.my_world)].active.empty())
+        nbc_progress_rank(*h.uni, h.my_world);
       h.uni->entry_checks(h.my_world, h.cid, /*peer_world=*/-1);
       if (h.uni->kills_on()) {
         if (auto dead = h.uni->dead_in_comm(h.cid); !dead.empty()) {
@@ -164,133 +170,6 @@ std::int64_t wait_members(const Ctx& h, HierSeg& seg, std::uint64_t seq,
   return tmax;
 }
 
-// --- Inter-node primitives over the leader team -------------------------
-// `team` holds comm ranks (one leader per node, ordered by node id);
-// `me_idx` is the caller's index. These are the mv2 tree shapes with team
-// indices in place of comm ranks, on the parent communicator's reserved
-// hier tags — no sub-communicator is materialised.
-
-int team_index(const std::vector<int>& team, int comm_rank) {
-  return static_cast<int>(
-      std::find(team.begin(), team.end(), comm_rank) - team.begin());
-}
-
-void team_barrier(const Comm& c, const std::vector<int>& team, int me_idx) {
-  const int n = static_cast<int>(team.size());
-  const char token_out = 0;
-  char token_in = 0;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int dst = team[static_cast<std::size_t>((me_idx + mask) % n)];
-    const int src = team[static_cast<std::size_t>((me_idx - mask + n) % n)];
-    c.sendrecv(&token_out, sizeof(token_out), dst, kTagHierBarrier,
-               &token_in, sizeof(token_in), src, kTagHierBarrier);
-  }
-}
-
-void team_bcast(const Comm& c, const std::vector<int>& team, int me_idx,
-                int root_idx, void* buf, std::size_t bytes) {
-  const int n = static_cast<int>(team.size());
-  const int rel = (me_idx - root_idx + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (rel & mask) {
-      const int src = team[static_cast<std::size_t>(
-          (rel - mask + root_idx + n) % n)];
-      c.recv(buf, bytes, src, kTagHierBcast);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < n) {
-      const int dst =
-          team[static_cast<std::size_t>((rel + mask + root_idx) % n)];
-      c.send(buf, bytes, dst, kTagHierBcast);
-    }
-    mask >>= 1;
-  }
-}
-
-/// Binomial reduce of `acc` (in place, caller's contribution included)
-/// toward team[root_idx].
-void team_reduce(const Comm& c, const std::vector<int>& team, int me_idx,
-                 int root_idx, void* acc, std::size_t count, BasicKind kind,
-                 ReduceOp op) {
-  const int n = static_cast<int>(team.size());
-  const std::size_t bytes = count * basic_size(kind);
-  const int rel = (me_idx - root_idx + n) % n;
-  std::vector<std::byte> incoming(bytes);
-  int mask = 1;
-  while (mask < n) {
-    if ((rel & mask) == 0) {
-      const int src_rel = rel | mask;
-      if (src_rel < n) {
-        const int src =
-            team[static_cast<std::size_t>((src_rel + root_idx) % n)];
-        c.recv(incoming.data(), bytes, src, kTagHierReduce);
-        apply_reduce(op, kind, acc, incoming.data(), count);
-      }
-    } else {
-      const int dst =
-          team[static_cast<std::size_t>(((rel & ~mask) + root_idx) % n)];
-      c.send(acc, bytes, dst, kTagHierReduce);
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-/// Recursive-doubling allreduce of `buf` (in place) across the team, with
-/// the standard non-power-of-two fold.
-void team_allreduce(const Comm& c, const std::vector<int>& team, int me_idx,
-                    void* buf, std::size_t count, BasicKind kind,
-                    ReduceOp op) {
-  const int n = static_cast<int>(team.size());
-  if (n == 1) return;
-  const std::size_t bytes = count * basic_size(kind);
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
-  std::vector<std::byte> incoming(bytes);
-
-  auto rank_of = [&](int idx) { return team[static_cast<std::size_t>(idx)]; };
-
-  int newidx;
-  if (me_idx < 2 * rem) {
-    if (me_idx % 2 == 0) {
-      c.send(buf, bytes, rank_of(me_idx + 1), kTagHierAllreduce);
-      newidx = -1;
-    } else {
-      c.recv(incoming.data(), bytes, rank_of(me_idx - 1), kTagHierAllreduce);
-      apply_reduce(op, kind, buf, incoming.data(), count);
-      newidx = me_idx / 2;
-    }
-  } else {
-    newidx = me_idx - rem;
-  }
-
-  if (newidx != -1) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner_new = newidx ^ mask;
-      const int partner_idx =
-          partner_new < rem ? partner_new * 2 + 1 : partner_new + rem;
-      c.sendrecv(buf, bytes, rank_of(partner_idx), kTagHierAllreduce,
-                 incoming.data(), bytes, rank_of(partner_idx),
-                 kTagHierAllreduce);
-      apply_reduce(op, kind, buf, incoming.data(), count);
-    }
-  }
-
-  if (me_idx < 2 * rem) {
-    if (me_idx % 2 != 0) {
-      c.send(buf, bytes, rank_of(me_idx - 1), kTagHierAllreduce);
-    } else {
-      c.recv(buf, bytes, rank_of(me_idx + 1), kTagHierAllreduce);
-    }
-  }
-}
-
 constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
 
 }  // namespace
@@ -314,7 +193,8 @@ void barrier(const Comm& c) {
                                    /*done_flags=*/false));
     }
     if (t.leaders.size() > 1)
-      team_barrier(c, t.leaders, t.group_of[static_cast<std::size_t>(c.rank())]);
+      coll_run_team(c, CollAlg::kBarrierDissemination, t.leaders,
+                    kTagHierBarrier, {.what = NbcOp::kBarrier});
     if (seg != nullptr) {
       h.clock->advance_cpu();
       seg->pub_vtime = h.clock->vclock;
@@ -354,10 +234,13 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
                 mine.begin())
           : kNoSkip;
 
+  // The leaders' binomial tree, rooted at the root's node leader.
+  auto leader_bcast = [&] {
+    coll_run_team(c, CollAlg::kBcastBinomial, t.leaders, kTagHierBcast,
+                  {.what = NbcOp::kBcast, .in = buf, .out = buf,
+                   .size = bytes, .root = root_group});
+  };
   if (t.is_leader) {
-    const int my_leader_idx = team_index(t.leaders, me);
-    const int root_leader_idx =
-        team_index(t.leaders, t.leaders[static_cast<std::size_t>(root_group)]);
     if (t.my_group == root_group && me != root) {
       // The data enters through root's published buffer: copy it out
       // directly (my own receive IS the single-copy).
@@ -372,7 +255,7 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
       seg->pub_ptr = rs.ptr;  // members copy straight from root's buffer
       seg->pub_vtime = h.clock->vclock;
       seg->release.store(seq, std::memory_order_release);
-      team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+      leader_bcast();
       observe_flag(h, wait_members(h, *seg, seq, t.my_pos, root_pos,
                                    /*done_flags=*/true));
       // Relay "everyone is done with your buffer" to the non-leader
@@ -385,20 +268,17 @@ void bcast(const Comm& c, void* buf, std::size_t bytes, int root) {
       wait_flag(h, rs2.done, seq);
       observe_flag(h, rs2.vtime_done);
     } else {
-      if (me != root)
-        team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+      if (me != root) leader_bcast();
       if (seg != nullptr) {
         h.clock->advance_cpu();
         seg->pub_ptr = buf;
         seg->pub_vtime = h.clock->vclock;
         seg->release.store(seq, std::memory_order_release);
-        if (me == root)
-          team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf,
-                     bytes);
+        if (me == root) leader_bcast();
         observe_flag(h, wait_members(h, *seg, seq, t.my_pos, kNoSkip,
                                      /*done_flags=*/true));
       } else if (me == root) {
-        team_bcast(c, t.leaders, my_leader_idx, root_leader_idx, buf, bytes);
+        leader_bcast();
       }
     }
   } else if (me == root) {
@@ -488,8 +368,10 @@ void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
       observe_flag(h, wait_members(h, *seg, seq, t.my_pos, kNoSkip,
                                    /*done_flags=*/true));
     }
-    team_reduce(c, t.leaders, team_index(t.leaders, me),
-                team_index(t.leaders, root_leader), acc, count, kind, op);
+    coll_run_team(c, CollAlg::kReduceBinomial, t.leaders, kTagHierReduce,
+                  {.what = NbcOp::kReduce, .in = acc, .out = acc,
+                   .size = count, .kind = kind, .op = op,
+                   .root = root_group});
     if (me == root_leader && !am_root)
       c.send(acc, bytes, root, kTagHierRootXfer);
   } else {
@@ -519,7 +401,6 @@ void allreduce(const Comm& c, const void* sbuf, void* rbuf,
   h.uni->entry_checks(h.my_world, h.cid, -1);
   CollSpan span(c, CollAlg::kHierAllreduce);
   const Topo t = topo_of(c, h);
-  const int me = c.rank();
   HierSeg* seg = segment_of(t, h);
   const std::uint64_t seq =
       seg != nullptr ? ++seg->slots[t.my_pos].local_seq : 0;
@@ -539,8 +420,10 @@ void allreduce(const Comm& c, const void* sbuf, void* rbuf,
         count_single_copy(h, bytes);
       }
     }
-    team_allreduce(c, t.leaders, team_index(t.leaders, me), rbuf, count,
-                   kind, op);
+    coll_run_team(c, CollAlg::kAllreduceRecursiveDoubling, t.leaders,
+                  kTagHierAllreduce,
+                  {.what = NbcOp::kAllreduce, .in = rbuf, .out = rbuf,
+                   .size = count, .kind = kind, .op = op});
     if (seg != nullptr) {
       h.clock->advance_cpu();
       seg->pub_ptr = rbuf;

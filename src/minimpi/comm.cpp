@@ -1,11 +1,10 @@
 #include "jhpc/minimpi/comm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "detail/coll.hpp"
-#include "detail/coll_hier.hpp"
+#include "detail/coll_nbc.hpp"
 #include "detail/transport.hpp"
 #include "jhpc/support/clock.hpp"
 #include "jhpc/support/error.hpp"
@@ -43,63 +42,6 @@ void check_tag_recv(int tag) {
 }
 
 thread_local int internal_tag_depth = 0;
-
-std::size_t typed_bytes(int count, const Datatype& type, const char* what) {
-  JHPC_REQUIRE(count >= 0,
-               std::string(what) + ": negative element count");
-  return type.size() * static_cast<std::size_t>(count);
-}
-
-// Leaf kind for a typed reduction; even a dense (contiguous-layout)
-// struct can mix leaves, so both routes must check.
-BasicKind reduce_leaf(const Datatype& type) {
-  if (!type.uniform_leaf()) {
-    throw UnsupportedOperationError(
-        "typed reduction requires a uniform leaf kind (mixed-leaf "
-        "structs are not element-wise reducible)");
-  }
-  return type.leaf_kind();
-}
-
-// RAII scratch drawn from the transport slab recycler for the typed
-// collective pack shim: steady state is a free-list pop, no allocation.
-// Acquire and release both run on the owning rank's thread (true for
-// every blocking collective, which runs start to finish on its rank).
-class SlabScratch {
- public:
-  SlabScratch(detail::UniverseImpl* impl, int world, std::size_t bytes)
-      : impl_(impl), world_(world),
-        slab_(impl->slab.acquire(bytes, world)) {}
-  ~SlabScratch() { impl_->slab.release(std::move(slab_), world_); }
-  SlabScratch(const SlabScratch&) = delete;
-  SlabScratch& operator=(const SlabScratch&) = delete;
-
-  std::byte* data() { return slab_.data(); }
-
- private:
-  detail::UniverseImpl* impl_;
-  int world_;
-  detail::Slab slab_;
-};
-
-// A blocking collective that loses a rank mid-algorithm leaves peers
-// parked in later rounds of the pattern with nobody left to wake them.
-// Auto-revoking the communicator on the first RankFailedError (as ULFM
-// implementations do for collectives) sweeps those parked operations, so
-// every rank gets a prompt RankFailedError or CommRevokedError instead of
-// a hang. Point-to-point deliberately does not auto-revoke: a dead peer
-// there concerns only the caller.
-template <typename Fn>
-void revoke_on_failure(detail::UniverseImpl* impl, int cid, int my_world,
-                       Fn&& fn) {
-  try {
-    fn();
-  } catch (const RankFailedError&) {
-    impl->revoke_comm(cid, my_world);
-    throw;
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -250,7 +192,7 @@ void Comm::sendrecv(const void* send_buf, std::size_t send_bytes, int dst,
 
 void Comm::send(const void* buf, int count, const Datatype& type, int dst,
                 int tag) const {
-  const std::size_t bytes = typed_bytes(count, type, "send");
+  const std::size_t bytes = detail::typed_bytes(count, type, "send");
   if (type.contiguous_layout()) {
     send(buf, bytes, dst, tag);
     return;
@@ -268,7 +210,7 @@ void Comm::send(const void* buf, int count, const Datatype& type, int dst,
 
 void Comm::recv(void* buf, int count, const Datatype& type, int src, int tag,
                 Status* status) const {
-  const std::size_t bytes = typed_bytes(count, type, "recv");
+  const std::size_t bytes = detail::typed_bytes(count, type, "recv");
   if (type.contiguous_layout()) {
     recv(buf, bytes, src, tag, status);
     return;
@@ -286,7 +228,7 @@ void Comm::recv(void* buf, int count, const Datatype& type, int src, int tag,
 
 Request Comm::isend(const void* buf, int count, const Datatype& type,
                     int dst, int tag) const {
-  const std::size_t bytes = typed_bytes(count, type, "isend");
+  const std::size_t bytes = detail::typed_bytes(count, type, "isend");
   if (type.contiguous_layout()) return isend(buf, bytes, dst, tag);
   check_valid(impl_);
   check_peer(dst, size(), "isend");
@@ -299,7 +241,7 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
 
 Request Comm::irecv(void* buf, int count, const Datatype& type, int src,
                     int tag) const {
-  const std::size_t bytes = typed_bytes(count, type, "irecv");
+  const std::size_t bytes = detail::typed_bytes(count, type, "irecv");
   if (type.contiguous_layout()) return irecv(buf, bytes, src, tag);
   check_valid(impl_);
   if (src != kAnySource) check_peer(src, size(), "irecv");
@@ -392,348 +334,154 @@ bool Comm::iprobe(int src, int tag, Status* status) const {
                             /*blocking=*/false, status);
 }
 
-// --- Collectives: suite dispatch ----------------------------------------------
-// Three suites: mv2 (tuned trees), basic (flat linear), hier (topology-
-// aware two-level; coll_hier.cpp). hier specialises barrier/bcast/reduce/
-// allreduce/gather and falls back to the mv2 algorithms for every other
-// collective, so `suite() != kOmpiBasic` selects the mv2 path there.
+// --- Collectives ----------------------------------------------------------------
+// Every collective runs in the schedule engine (coll_nbc.cpp), which
+// picks the suite's algorithm; the hier suite keeps its two-level
+// algorithms for barrier/bcast/reduce/allreduce/gather.
+
+using detail::CollArgs;
+using detail::NbcOp;
 
 void Comm::barrier() const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier: detail::hier::barrier(*this); break;
-      case CollectiveSuite::kMv2: detail::mv2::barrier(*this); break;
-      case CollectiveSuite::kOmpiBasic: detail::basic::barrier(*this); break;
-    }
-  });
+  detail::coll_run(*this, {.what = NbcOp::kBarrier});
 }
 
 void Comm::bcast(void* buf, std::size_t bytes, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "bcast");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::bcast(*this, buf, bytes, root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::bcast(*this, buf, bytes, root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::bcast(*this, buf, bytes, root);
-        break;
-    }
-  });
+  detail::coll_run(*this, {.what = NbcOp::kBcast, .in = buf, .out = buf,
+                           .size = bytes, .root = root});
 }
 
 void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
                   BasicKind kind, ReduceOp op, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "reduce");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::reduce(*this, send_buf, recv_buf, count, kind, op,
-                             root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::reduce(*this, send_buf, recv_buf, count, kind, op,
-                            root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::reduce(*this, send_buf, recv_buf, count, kind, op,
-                              root);
-        break;
-    }
-  });
+  detail::coll_run(*this, {.what = NbcOp::kReduce, .in = send_buf,
+                           .out = recv_buf, .size = count, .kind = kind,
+                           .op = op, .root = root});
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
                      BasicKind kind, ReduceOp op) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::allreduce(*this, send_buf, recv_buf, count, kind, op);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::allreduce(*this, send_buf, recv_buf, count, kind, op);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::allreduce(*this, send_buf, recv_buf, count, kind,
-                                 op);
-        break;
-    }
-  });
+  detail::coll_run(*this, {.what = NbcOp::kAllreduce, .in = send_buf,
+                           .out = recv_buf, .size = count, .kind = kind,
+                           .op = op});
 }
 
 void Comm::reduce_scatter_block(const void* send_buf, void* recv_buf,
                                 std::size_t count_per_rank, BasicKind kind,
                                 ReduceOp op) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::reduce_scatter_block(*this, send_buf, recv_buf,
-                                            count_per_rank, kind, op)
-        : detail::basic::reduce_scatter_block(*this, send_buf, recv_buf,
-                                              count_per_rank, kind, op);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kReduceScatterBlock,
+                           .in = send_buf, .out = recv_buf,
+                           .size = count_per_rank, .kind = kind, .op = op});
 }
 
 void Comm::scan(const void* send_buf, void* recv_buf, std::size_t count,
                 BasicKind kind, ReduceOp op) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::scan(*this, send_buf, recv_buf, count, kind, op)
-        : detail::basic::scan(*this, send_buf, recv_buf, count, kind, op);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kScan, .in = send_buf,
+                           .out = recv_buf, .size = count, .kind = kind,
+                           .op = op});
 }
 
 void Comm::gather(const void* send_buf, std::size_t bytes_per_rank,
                   void* recv_buf, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "gather");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    switch (suite()) {
-      case CollectiveSuite::kHier:
-        detail::hier::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                             root);
-        break;
-      case CollectiveSuite::kMv2:
-        detail::mv2::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                            root);
-        break;
-      case CollectiveSuite::kOmpiBasic:
-        detail::basic::gather(*this, send_buf, bytes_per_rank, recv_buf,
-                              root);
-        break;
-    }
-  });
+  detail::coll_run(*this, {.what = NbcOp::kGather, .in = send_buf,
+                           .out = recv_buf, .size = bytes_per_rank,
+                           .root = root});
 }
 
 void Comm::scatter(const void* send_buf, std::size_t bytes_per_rank,
                    void* recv_buf, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "scatter");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::scatter(*this, send_buf, bytes_per_rank, recv_buf,
-                               root)
-        : detail::basic::scatter(*this, send_buf, bytes_per_rank, recv_buf,
-                                 root);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kScatter, .in = send_buf,
+                           .out = recv_buf, .size = bytes_per_rank,
+                           .root = root});
 }
 
 void Comm::allgather(const void* send_buf, std::size_t bytes_per_rank,
                      void* recv_buf) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::allgather(*this, send_buf, bytes_per_rank, recv_buf)
-        : detail::basic::allgather(*this, send_buf, bytes_per_rank,
-                                   recv_buf);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kAllgather, .in = send_buf,
+                           .out = recv_buf, .size = bytes_per_rank});
 }
 
 void Comm::alltoall(const void* send_buf, std::size_t bytes_per_pair,
                     void* recv_buf) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::alltoall(*this, send_buf, bytes_per_pair, recv_buf)
-        : detail::basic::alltoall(*this, send_buf, bytes_per_pair, recv_buf);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kAlltoall, .in = send_buf,
+                           .out = recv_buf, .size = bytes_per_pair});
 }
-
-// --- Typed (derived-datatype) blocking collectives --------------------------
-// Strided layouts are packed through a slab-drawn scratch and run the
-// byte engines unchanged — every suite (basic/mv2/nbc/hier) executes the
-// identical wire algorithm for typed and untyped payloads, which is what
-// lets the differential oracle cross-check them. Dense layouts skip the
-// shim entirely. The engines' own tags are protected by their
-// InternalTagScope; the shim adds no communication of its own.
 
 void Comm::bcast(void* buf, int count, const Datatype& type,
                  int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "bcast");
-  if (type.contiguous_layout()) {
-    bcast(buf, bytes, root);
-    return;
-  }
-  check_valid(impl_);
-  check_peer(root, size(), "bcast");
-  SlabScratch scratch(impl_, my_world(), bytes);
-  if (my_rank_ == root) type.pack(buf, scratch.data(), count);
-  bcast(scratch.data(), bytes, root);
-  if (my_rank_ != root) type.unpack(scratch.data(), buf, count);
+  detail::coll_run_typed(
+      *this, {.what = NbcOp::kBcast, .in = buf, .out = buf, .root = root},
+      count, type);
 }
 
 void Comm::reduce(const void* send_buf, void* recv_buf, int count,
                   const Datatype& type, ReduceOp op, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "reduce");
-  const BasicKind leaf = reduce_leaf(type);
-  const std::size_t elems = bytes / basic_size(leaf);
-  if (type.contiguous_layout()) {
-    reduce(send_buf, recv_buf, elems, leaf, op, root);
-    return;
-  }
-  check_valid(impl_);
-  check_peer(root, size(), "reduce");
-  const int me = my_world();
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  reduce(send_s.data(), recv_s.data(), elems, leaf, op, root);
-  if (my_rank_ == root) type.unpack(recv_s.data(), recv_buf, count);
+  detail::coll_run_typed(*this,
+                         {.what = NbcOp::kReduce, .in = send_buf,
+                          .out = recv_buf, .op = op, .root = root},
+                         count, type);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, int count,
                      const Datatype& type, ReduceOp op) const {
-  const std::size_t bytes = typed_bytes(count, type, "allreduce");
-  const BasicKind leaf = reduce_leaf(type);
-  const std::size_t elems = bytes / basic_size(leaf);
-  if (type.contiguous_layout()) {
-    allreduce(send_buf, recv_buf, elems, leaf, op);
-    return;
-  }
-  check_valid(impl_);
-  const int me = my_world();
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  allreduce(send_s.data(), recv_s.data(), elems, leaf, op);
-  type.unpack(recv_s.data(), recv_buf, count);
+  detail::coll_run_typed(*this,
+                         {.what = NbcOp::kAllreduce, .in = send_buf,
+                          .out = recv_buf, .op = op},
+                         count, type);
 }
 
 void Comm::gather(const void* send_buf, int count, const Datatype& type,
                   void* recv_buf, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "gather");
-  if (type.contiguous_layout()) {
-    gather(send_buf, bytes, recv_buf, root);
-    return;
-  }
-  check_valid(impl_);
-  check_peer(root, size(), "gather");
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes);
-  type.pack(send_buf, send_s.data(), count);
-  if (my_rank_ == root) {
-    SlabScratch recv_s(impl_, me, bytes * n);
-    gather(send_s.data(), bytes, recv_s.data(), root);
-    // Blocks are dense and rank-ordered in the scratch; one unpack lays
-    // block i down at byte offset i * count * extent.
-    type.unpack(recv_s.data(), recv_buf, count * size());
-  } else {
-    gather(send_s.data(), bytes, nullptr, root);
-  }
+  detail::coll_run_typed(*this,
+                         {.what = NbcOp::kGather, .in = send_buf,
+                          .out = recv_buf, .root = root},
+                         count, type);
 }
 
 void Comm::scatter(const void* send_buf, int count, const Datatype& type,
                    void* recv_buf, int root) const {
-  const std::size_t bytes = typed_bytes(count, type, "scatter");
-  if (type.contiguous_layout()) {
-    scatter(send_buf, bytes, recv_buf, root);
-    return;
-  }
-  check_valid(impl_);
-  check_peer(root, size(), "scatter");
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch recv_s(impl_, me, bytes);
-  if (my_rank_ == root) {
-    SlabScratch send_s(impl_, me, bytes * n);
-    type.pack(send_buf, send_s.data(), count * size());
-    scatter(send_s.data(), bytes, recv_s.data(), root);
-  } else {
-    scatter(nullptr, bytes, recv_s.data(), root);
-  }
-  type.unpack(recv_s.data(), recv_buf, count);
+  detail::coll_run_typed(*this,
+                         {.what = NbcOp::kScatter, .in = send_buf,
+                          .out = recv_buf, .root = root},
+                         count, type);
 }
 
 void Comm::allgather(const void* send_buf, int count, const Datatype& type,
                      void* recv_buf) const {
-  const std::size_t bytes = typed_bytes(count, type, "allgather");
-  if (type.contiguous_layout()) {
-    allgather(send_buf, bytes, recv_buf);
-    return;
-  }
-  check_valid(impl_);
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes);
-  SlabScratch recv_s(impl_, me, bytes * n);
-  type.pack(send_buf, send_s.data(), count);
-  allgather(send_s.data(), bytes, recv_s.data());
-  type.unpack(recv_s.data(), recv_buf, count * size());
+  detail::coll_run_typed(
+      *this, {.what = NbcOp::kAllgather, .in = send_buf, .out = recv_buf},
+      count, type);
 }
 
 void Comm::alltoall(const void* send_buf, int count, const Datatype& type,
                     void* recv_buf) const {
-  const std::size_t bytes = typed_bytes(count, type, "alltoall");
-  if (type.contiguous_layout()) {
-    alltoall(send_buf, bytes, recv_buf);
-    return;
-  }
-  check_valid(impl_);
-  const int me = my_world();
-  const std::size_t n = static_cast<std::size_t>(size());
-  SlabScratch send_s(impl_, me, bytes * n);
-  SlabScratch recv_s(impl_, me, bytes * n);
-  type.pack(send_buf, send_s.data(), count * size());
-  alltoall(send_s.data(), bytes, recv_s.data());
-  type.unpack(recv_s.data(), recv_buf, count * size());
+  detail::coll_run_typed(
+      *this, {.what = NbcOp::kAlltoall, .in = send_buf, .out = recv_buf},
+      count, type);
 }
 
 void Comm::gatherv(const void* send_buf, std::size_t send_bytes,
                    void* recv_buf, std::span<const std::size_t> counts,
                    std::span<const std::size_t> displs, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "gatherv");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    detail::gatherv_linear(*this, send_buf, send_bytes, recv_buf, counts,
-                           displs, root);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kGatherv, .in = send_buf,
+                           .out = recv_buf, .size = send_bytes, .root = root,
+                           .counts = counts, .displs = displs});
 }
 
 void Comm::scatterv(const void* send_buf,
                     std::span<const std::size_t> counts,
                     std::span<const std::size_t> displs, void* recv_buf,
                     std::size_t recv_bytes, int root) const {
-  check_valid(impl_);
-  check_peer(root, size(), "scatterv");
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    detail::scatterv_linear(*this, send_buf, counts, displs, recv_buf,
-                            recv_bytes, root);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kScatterv, .in = send_buf,
+                           .out = recv_buf, .size = recv_bytes, .root = root,
+                           .counts = counts, .displs = displs});
 }
 
 void Comm::allgatherv(const void* send_buf, std::size_t send_bytes,
                       void* recv_buf, std::span<const std::size_t> counts,
                       std::span<const std::size_t> displs) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::allgatherv(*this, send_buf, send_bytes, recv_buf,
-                                  counts, displs)
-        : detail::basic::allgatherv(*this, send_buf, send_bytes, recv_buf,
-                                    counts, displs);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kAllgatherv, .in = send_buf,
+                           .out = recv_buf, .size = send_bytes,
+                           .counts = counts, .displs = displs});
 }
 
 void Comm::alltoallv(const void* send_buf,
@@ -742,15 +490,10 @@ void Comm::alltoallv(const void* send_buf,
                      void* recv_buf,
                      std::span<const std::size_t> recv_counts,
                      std::span<const std::size_t> recv_displs) const {
-  check_valid(impl_);
-  const detail::InternalTagScope tags;
-  revoke_on_failure(impl_, context_id_, my_world(), [&] {
-    suite() != CollectiveSuite::kOmpiBasic
-        ? detail::mv2::alltoallv(*this, send_buf, send_counts, send_displs,
-                                 recv_buf, recv_counts, recv_displs)
-        : detail::basic::alltoallv(*this, send_buf, send_counts, send_displs,
-                                   recv_buf, recv_counts, recv_displs);
-  });
+  detail::coll_run(*this, {.what = NbcOp::kAlltoallv, .in = send_buf,
+                           .out = recv_buf, .counts = recv_counts,
+                           .displs = recv_displs, .scounts = send_counts,
+                           .sdispls = send_displs});
 }
 
 // --- Communicator management ---------------------------------------------------
@@ -853,24 +596,10 @@ std::int64_t Comm::vtime_ns() const {
 // "basic" but the agreement must work before the new comm exists, and it
 // must not consume user-visible collective semantics).
 void Comm::bcast_cid(int* value) const {
-  const detail::InternalTagScope tags;
-  const int size = this->size();
-  const int rank = my_rank_;
-  int mask = 1;
-  while (mask < size) {
-    if (rank & mask) {
-      recv(value, sizeof(int), rank - mask, detail::kTagCommMgmt);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank + mask < size) {
-      send(value, sizeof(int), rank + mask, detail::kTagCommMgmt);
-    }
-    mask >>= 1;
-  }
+  detail::coll_run_team(*this, detail::CollAlg::kBcastBinomial, {},
+                        detail::kTagCommMgmt,
+                        {.what = NbcOp::kBcast, .in = value, .out = value,
+                         .size = sizeof(int)});
 }
 
 }  // namespace jhpc::minimpi

@@ -1,20 +1,8 @@
-// Internal collective-algorithm implementations.
-//
-// Two suites model the two native libraries of the paper's evaluation:
-//   mv2   — tuned algorithms in the style of MVAPICH2/MPICH: binomial
-//           trees, scatter+ring-allgather broadcast, recursive doubling,
-//           ring reduce-scatter/allgather, dissemination barrier,
-//           pairwise alltoall.
-//   basic — flat linear algorithms in the style of an untuned baseline:
-//           root-sequential fan-out/fan-in everywhere.
-//
-// All algorithms are built strictly on the public Comm point-to-point API.
+// The reserved tag space of minimpi's internal traffic: the fixed tags of
+// the context-id agreement, the hier suite's leader phase and one-sided
+// sync tokens. Top-level collectives draw per-operation tags from the
+// schedule engine's block above these (detail/coll_nbc.hpp).
 #pragma once
-
-#include <cstddef>
-#include <span>
-
-#include "jhpc/minimpi/comm.hpp"
 
 namespace jhpc::minimpi::detail {
 
@@ -39,25 +27,7 @@ class InternalTagScope {
 bool internal_tags_allowed();
 
 enum CollTag : int {
-  kTagBarrier = kTagBase,
-  kTagBcast,
-  kTagBcastScatter,
-  kTagBcastRing,
-  kTagReduce,
-  kTagAllreduce,
-  kTagAllreduceRs,
-  kTagAllreduceAg,
-  kTagGather,
-  kTagScatter,
-  kTagAllgather,
-  kTagAlltoall,
-  kTagGatherv,
-  kTagScatterv,
-  kTagAllgatherv,
-  kTagAlltoallv,
-  kTagReduceScatter,
-  kTagScan,
-  kTagCommMgmt,
+  kTagCommMgmt = kTagBase,
   // hier suite: inter-node traffic among node leaders (coll_hier.cpp).
   kTagHierBarrier,
   kTagHierBcast,
@@ -71,70 +41,5 @@ enum CollTag : int {
   // scales the offset open-endedly.
   kTagWinSync,
 };
-
-namespace mv2 {
-void barrier(const Comm& c);
-void bcast(const Comm& c, void* buf, std::size_t bytes, int root);
-void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
-            BasicKind kind, ReduceOp op, int root);
-void allreduce(const Comm& c, const void* sbuf, void* rbuf,
-               std::size_t count, BasicKind kind, ReduceOp op);
-void reduce_scatter_block(const Comm& c, const void* sbuf, void* rbuf,
-                          std::size_t count_per_rank, BasicKind kind,
-                          ReduceOp op);
-void scan(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
-          BasicKind kind, ReduceOp op);
-void gather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
-            int root);
-void scatter(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
-             int root);
-void allgather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf);
-void alltoall(const Comm& c, const void* sbuf, std::size_t bpp, void* rbuf);
-void allgatherv(const Comm& c, const void* sbuf, std::size_t sbytes,
-                void* rbuf, std::span<const std::size_t> counts,
-                std::span<const std::size_t> displs);
-void alltoallv(const Comm& c, const void* sbuf,
-               std::span<const std::size_t> scounts,
-               std::span<const std::size_t> sdispls, void* rbuf,
-               std::span<const std::size_t> rcounts,
-               std::span<const std::size_t> rdispls);
-}  // namespace mv2
-
-namespace basic {
-void barrier(const Comm& c);
-void bcast(const Comm& c, void* buf, std::size_t bytes, int root);
-void reduce(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
-            BasicKind kind, ReduceOp op, int root);
-void allreduce(const Comm& c, const void* sbuf, void* rbuf,
-               std::size_t count, BasicKind kind, ReduceOp op);
-void reduce_scatter_block(const Comm& c, const void* sbuf, void* rbuf,
-                          std::size_t count_per_rank, BasicKind kind,
-                          ReduceOp op);
-void scan(const Comm& c, const void* sbuf, void* rbuf, std::size_t count,
-          BasicKind kind, ReduceOp op);
-void gather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
-            int root);
-void scatter(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf,
-             int root);
-void allgather(const Comm& c, const void* sbuf, std::size_t bpr, void* rbuf);
-void alltoall(const Comm& c, const void* sbuf, std::size_t bpp, void* rbuf);
-void allgatherv(const Comm& c, const void* sbuf, std::size_t sbytes,
-                void* rbuf, std::span<const std::size_t> counts,
-                std::span<const std::size_t> displs);
-void alltoallv(const Comm& c, const void* sbuf,
-               std::span<const std::size_t> scounts,
-               std::span<const std::size_t> sdispls, void* rbuf,
-               std::span<const std::size_t> rcounts,
-               std::span<const std::size_t> rdispls);
-}  // namespace basic
-
-// Root-centric vectored collectives shared by both suites.
-void gatherv_linear(const Comm& c, const void* sbuf, std::size_t sbytes,
-                    void* rbuf, std::span<const std::size_t> counts,
-                    std::span<const std::size_t> displs, int root);
-void scatterv_linear(const Comm& c, const void* sbuf,
-                     std::span<const std::size_t> counts,
-                     std::span<const std::size_t> displs, void* rbuf,
-                     std::size_t rbytes, int root);
 
 }  // namespace jhpc::minimpi::detail

@@ -3,14 +3,14 @@
 //
 // Each collective decomposes into an intra-node phase over a per-node
 // shared segment (UniverseImpl::hier_segment) and an inter-node phase run
-// among the node leaders with the mv2-shaped point-to-point trees. The
+// among the node leaders with the schedule engine's mv2 builders. The
 // intra-node data path is single-copy: receivers memcpy directly out of
 // the publishing rank's live user buffer, which stays pinned (the
 // publisher does not return) until every reader acknowledged via the
 // segment's done flags.
 //
-// Only the collectives below are specialised; the dispatch layer
-// (comm.cpp) falls back to the mv2 suite for everything else, so a hier
+// Only the collectives below are specialised; the schedule engine
+// (coll_nbc.cpp) runs the mv2 shapes for everything else, so a hier
 // Universe still serves the full collective API.
 #pragma once
 

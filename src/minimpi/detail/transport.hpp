@@ -35,8 +35,9 @@
 
 namespace jhpc::minimpi::detail {
 
-/// Collective algorithms the two suites can run; each has one pvar so
+/// Collective algorithms the suites can run; each has one pvar so
 /// figures can cite exactly which algorithm served a message-size range.
+/// The schedule engine (coll_nbc.cpp) has one builder per mv2/basic row.
 enum class CollAlg : int {
   // mv2 suite
   kBarrierDissemination,
@@ -67,10 +68,10 @@ enum class CollAlg : int {
   kAlltoallLinear,
   kAllgathervLinear,
   kAlltoallvLinear,
-  // suite-shared vectored fallbacks
+  // vectored root collectives, shared by both suites
   kGathervLinear,
   kScattervLinear,
-  // nonblocking schedule engine (coll_nbc.cpp): one pvar per operation
+  // nonblocking collectives: one pvar per operation, whatever the shape
   kNbcBarrier,
   kNbcBcast,
   kNbcReduce,
@@ -568,6 +569,9 @@ struct NbcRank {
   /// entered by every rank of a communicator in the same order, so equal
   /// counters yield the same matching tag on every rank.
   std::unordered_map<int, std::uint32_t> seq;
+  /// The engine is driving `active` right now: the waits it runs inside
+  /// must not re-enter it.
+  bool driving = false;
 };
 
 /// The state behind a Universe, shared with Comm/Request implementations.

@@ -153,9 +153,9 @@ class Comm {
 
   // --- Typed blocking collectives ----------------------------------------
   // Derived-datatype forms of the collectives above, valid on every
-  // engine suite (basic/mv2/nbc/hier): strided payloads are packed
-  // through a slab-drawn scratch into the byte engines — so all suites
-  // stay bit-identical — and dense layouts skip the shim entirely.
+  // engine suite (basic/mv2/hier): strided payloads are packed into
+  // dense staging that runs the byte algorithms — so all suites stay
+  // bit-identical — and dense layouts skip the staging entirely.
   // Multi-rank buffers (gather/scatter/allgather/alltoall) hold size()
   // blocks of `count` elements each; block i starts at byte offset
   // i * count * type.extent().
@@ -177,13 +177,14 @@ class Comm {
                 void* recv_buf) const;
 
   // --- Nonblocking collectives (schedule-based progress engine) ----------
-  // Each call compiles a per-rank schedule of rounds, posts its first
-  // round immediately and returns a Request handle; the schedule then
-  // advances inside Request::wait()/test() (weak progress — compute
-  // between the call and the wait overlaps the communication). Buffers
-  // must stay untouched until the request completes. Collectives —
-  // blocking or not — must be initiated in the same order on every rank
-  // of the communicator; waits may then complete in any order.
+  // Each call compiles the suite's algorithm into a per-rank schedule of
+  // rounds, posts its first round immediately and returns a Request
+  // handle; the schedule then advances whenever the rank tests or waits
+  // on any request, probes, or blocks in a blocking call (weak progress —
+  // compute between the call and the wait overlaps the communication).
+  // Buffers must stay untouched until the request completes. Collectives
+  // — blocking or not — must be initiated in the same order on every
+  // rank of the communicator; waits may then complete in any order.
   Request ibarrier() const;
   Request ibcast(void* buf, std::size_t bytes, int root) const;
   Request ireduce(const void* send_buf, void* recv_buf, std::size_t count,
@@ -219,7 +220,11 @@ class Comm {
                     void* recv_buf) const;
 
   // --- Vectored blocking collectives ---------------------------------------
-  /// counts/displs are per-rank byte counts/offsets into the root buffer.
+  /// counts/displs are per-rank byte counts/offsets into the root buffer
+  /// (into every rank's receive/send buffers for allgatherv/alltoallv).
+  /// Each span must hold size() entries wherever it is significant
+  /// (gatherv/scatterv: at the root); otherwise every rank that sees the
+  /// short span throws InvalidArgumentError before any communication.
   void gatherv(const void* send_buf, std::size_t send_bytes, void* recv_buf,
                std::span<const std::size_t> counts,
                std::span<const std::size_t> displs, int root) const;

@@ -20,10 +20,11 @@ struct NbcState;
 /// around by value). A default-constructed Request is the null request:
 /// wait() returns immediately with an empty Status.
 ///
-/// Progress semantics for collective requests: the schedule advances
-/// inside wait()/test() (and therefore wait_all()/wait_any()) — every
-/// active collective of the calling rank is driven together, so mixed
-/// p2p + collective request sets and out-of-order waits complete.
+/// Progress semantics: the calling rank's active collective schedules
+/// advance inside wait()/test() of any request, collective or
+/// point-to-point (and therefore wait_all()/wait_any()) — all of them
+/// are driven together, so mixed p2p + collective request sets and
+/// out-of-order waits complete.
 class Request {
  public:
   Request() = default;

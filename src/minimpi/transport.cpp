@@ -4,6 +4,7 @@
 #include <cstring>
 #include <thread>
 
+#include "detail/coll_nbc.hpp"
 #include "jhpc/support/clock.hpp"
 
 namespace jhpc::minimpi::detail {
@@ -59,14 +60,14 @@ constexpr CollAlgNames kCollAlgNames[] = {
     {"coll.alltoallv.linear", "alltoallv[linear]"},
     {"coll.gatherv.linear", "gatherv[linear]"},
     {"coll.scatterv.linear", "scatterv[linear]"},
-    {"coll.nbc.barrier", "ibarrier[dissemination]"},
-    {"coll.nbc.bcast", "ibcast[binomial]"},
-    {"coll.nbc.reduce", "ireduce[binomial]"},
-    {"coll.nbc.allreduce", "iallreduce[recursive_doubling]"},
-    {"coll.nbc.gather", "igather[fanin]"},
-    {"coll.nbc.scatter", "iscatter[fanout]"},
-    {"coll.nbc.allgather", "iallgather[ring]"},
-    {"coll.nbc.alltoall", "ialltoall[pairwise]"},
+    {"coll.nbc.barrier", "ibarrier"},
+    {"coll.nbc.bcast", "ibcast"},
+    {"coll.nbc.reduce", "ireduce"},
+    {"coll.nbc.allreduce", "iallreduce"},
+    {"coll.nbc.gather", "igather"},
+    {"coll.nbc.scatter", "iscatter"},
+    {"coll.nbc.allgather", "iallgather"},
+    {"coll.nbc.alltoall", "ialltoall"},
     {"coll.hier.barrier", "barrier[hier]"},
     {"coll.hier.bcast", "bcast[hier]"},
     {"coll.hier.reduce", "reduce[hier]"},
@@ -387,6 +388,9 @@ Awaited await_completion(RequestState& rs,
 }
 
 Status wait_request(RequestState& rs) {
+  // MPI's progress rule: a blocking wait must not starve the owner's
+  // outstanding collective schedules, which a peer may be waiting on.
+  nbc_progress_while_pending(rs);
   // Fold in the CPU the owner spent since its last transport call so the
   // virtual clock is current before we observe the completion time.
   if (rs.owner_clock != nullptr) rs.owner_clock->advance_cpu();
@@ -429,7 +433,12 @@ bool test_request(RequestState& rs, Status* out) {
   if (rs.uni != nullptr && rs.uni->self_dead(rs.owner_world)) {
     throw RankKilledError();
   }
-  if (!rs.complete.load(std::memory_order_acquire)) return false;
+  if (!rs.complete.load(std::memory_order_acquire)) {
+    // Polling is a wait too (wait_any is built on it): keep the owner's
+    // collective schedules moving.
+    if (rs.uni != nullptr) nbc_progress_if_active(*rs.uni, rs.owner_world);
+    return false;
+  }
   if (rs.failed) raise_request_failure(rs);
   // Completed, but only observable once the owner's virtual time reaches
   // the delivery time; polling burns CPU and therefore advances it.
@@ -1546,6 +1555,8 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
   RankClock& rclock = clocks[static_cast<std::size_t>(my_world)];
   MatchBucket& bk =
       endpoints[static_cast<std::size_t>(my_world)]->bucket(context_id);
+  const NbcRank& nr = nbc[static_cast<std::size_t>(my_world)];
+  bool progressed = false;
   std::unique_lock<std::mutex> lk(bk.mu);
   for (;;) {
     throw_if_aborted();
@@ -1584,9 +1595,23 @@ bool UniverseImpl::probe_match(int my_world, int context_id, int src, int tag,
         return true;
       }
     }
+    // No match: progress the rank's collective schedules (a probe loop is
+    // a wait, like wait_request). The engine posts receives, so it runs
+    // outside the bucket lock; a blocking probe then rescans and waits
+    // only briefly while schedules remain.
+    const bool schedules = !nr.driving && !nr.active.empty();
+    if (schedules && !progressed) {
+      lk.unlock();
+      nbc_progress_rank(*this, my_world);
+      if (!blocking) return false;
+      lk.lock();
+      progressed = true;
+      continue;
+    }
     if (!blocking) return false;
+    progressed = false;
     ++bk.probe_waiters;
-    bk.cv.wait_for(lk, kAbortPoll);
+    bk.cv.wait_for(lk, schedules ? 1ms : kAbortPoll);
     --bk.probe_waiters;
   }
 }

@@ -237,15 +237,30 @@ TEST(JhpcdTest, SlabQuotaTrips) {
   spec.rank_main = [](Comm& world) {
     const std::int64_t start = now_ns();
     std::vector<std::byte> buf(8192);
-    // Eager traffic cycles transport slabs through the free lists, so
-    // retained_bytes rises above the (absurdly low) quota quickly.
-    while (now_ns() - start < 2'000'000'000) {
+    const int peer = 1 - world.rank();
+    // An eager message that waits in the unexpected queue carries its
+    // payload in a transport slab, which the receiver's free list keeps
+    // after the receive. The probe before each receive makes every
+    // message wait there, and the replies use a smaller size class, so
+    // neither rank draws the other's slabs back out: retained_bytes
+    // stays above the (absurdly low) quota from the first exchange on.
+    // Only rank 0 reads the clock and sends the go/stop flag in the
+    // payload: with a deadline each, one rank could leave the loop while
+    // the other waits for its message.
+    const std::size_t bytes = world.rank() == 0 ? buf.size() : buf.size() / 2;
+    bool more = true;
+    while (more) {
       if (world.rank() == 0) {
-        world.send(buf.data(), buf.size(), 1, 9);
-        world.recv(buf.data(), buf.size(), 1, 9);
-      } else {
-        world.recv(buf.data(), buf.size(), 0, 9);
-        world.send(buf.data(), buf.size(), 0, 9);
+        more = now_ns() - start < 2'000'000'000;
+        buf[0] = std::byte{more};
+        world.send(buf.data(), bytes, peer, 9);
+      }
+      minimpi::Status st;
+      while (!world.iprobe(peer, 9, &st)) std::this_thread::yield();
+      world.recv(buf.data(), buf.size(), peer, 9);
+      if (world.rank() == 1) {
+        more = buf[0] != std::byte{0};
+        world.send(buf.data(), bytes, peer, 9);
       }
     }
   };

@@ -3,12 +3,20 @@
 // identical results regardless of suite or rank count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <span>
+#include <sstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "jhpc/minimpi/minimpi.hpp"
+#include "jhpc/support/error.hpp"
 
 namespace jhpc::minimpi {
 namespace {
@@ -310,6 +318,50 @@ TEST_P(CollTest, AlltoallvTransposesVariableBlocks) {
   });
 }
 
+TEST_P(CollTest, AlltoallvRejectsShortSpansBeforeCommunicating) {
+  Universe::launch(make_cfg(), [](Comm& world) {
+    const auto n = static_cast<std::size_t>(world.size());
+    std::vector<std::size_t> full(n, 1), offs(n), one(1, 1), zero(1, 0);
+    std::iota(offs.begin(), offs.end(), std::size_t{0});
+    std::vector<std::uint8_t> send(n, 1), recv(n, 0);
+    // Any span shorter than the communicator is rejected on every rank,
+    // whichever of the four it is.
+    for (int bad = 0; n > 1 && bad < 4; ++bad) {
+      std::span<const std::size_t> sc = full, sd = offs, rc = full,
+                                   rd = offs;
+      (bad == 0 ? sc : bad == 1 ? sd : bad == 2 ? rc : rd) =
+          bad % 2 == 0 ? std::span<const std::size_t>(one)
+                       : std::span<const std::size_t>(zero);
+      EXPECT_THROW(world.alltoallv(send.data(), sc, sd, recv.data(), rc, rd),
+                   InvalidArgumentError);
+    }
+    // Nothing was sent: a well-formed call still pairs up afterwards.
+    world.alltoallv(send.data(), full, offs, recv.data(), full, offs);
+    for (const auto b : recv) EXPECT_EQ(b, 1);
+  });
+}
+
+TEST_P(CollTest, GathervRootRejectionKeepsLaterCollectivesInStep) {
+  Universe::launch(make_cfg(), [](Comm& world) {
+    // counts/displs are significant at the root only: a root that
+    // rejects its short spans while the others have sent must leave the
+    // communicator's later collectives pairing up as usual.
+    const std::vector<std::size_t> one(1, sizeof(int)), zero(1, 0);
+    int mine = world.rank();
+    std::vector<int> all(static_cast<std::size_t>(world.size()));
+    if (world.size() > 1 && world.rank() == 0) {
+      EXPECT_THROW(
+          world.gatherv(&mine, sizeof(mine), all.data(), one, zero, 0),
+          InvalidArgumentError);
+    } else if (world.size() > 1) {
+      world.gatherv(&mine, sizeof(mine), all.data(), one, zero, 0);
+    }
+    int sum = -1;
+    world.allreduce(&mine, &sum, 1, BasicKind::kInt, ReduceOp::kSum);
+    EXPECT_EQ(sum, world.size() * (world.size() - 1) / 2);
+  });
+}
+
 TEST_P(CollTest, ReduceScatterBlockDeliversOwnBlock) {
   Universe::launch(make_cfg(), [](Comm& world) {
     const int size = world.size();
@@ -398,6 +450,327 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(suite) + "_np" +
              std::to_string(std::get<1>(info.param));
     });
+
+// --- Progress: blocking calls drive outstanding i-collectives ----------------
+//
+// MPI's progress rule: a rank blocked in any MPI call must keep its
+// outstanding nonblocking collectives moving, because a peer may be
+// waiting on them. Rank 0 sleeps so every other rank's ibcast is posted
+// before the data exists; rank 2 must then forward the binomial tree's
+// data to rank 3 while it is blocked in something else.
+
+UniverseConfig progress_cfg(CollectiveSuite suite = CollectiveSuite::kMv2,
+                            int ranks_per_node = 0) {
+  UniverseConfig c;
+  c.world_size = 4;
+  c.suite = suite;
+  c.fabric.ranks_per_node = ranks_per_node;
+  c.obs = obs::ObsConfig{};
+  return c;
+}
+
+Request start_late_ibcast(Comm& world, std::vector<int>& buf) {
+  if (world.rank() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::iota(buf.begin(), buf.end(), 7);
+  }
+  return world.ibcast(buf.data(), buf.size() * sizeof(int), 0);
+}
+
+void expect_ibcast_data(const std::vector<int>& buf) {
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    ASSERT_EQ(buf[i], static_cast<int>(i) + 7);
+}
+
+TEST(ProgressTest, BlockingBarrierProgressesIbcast) {
+  Universe::launch(progress_cfg(), [](Comm& world) {
+    std::vector<int> buf(16, -1);
+    Request req = start_late_ibcast(world, buf);
+    if (world.rank() == 2) {
+      world.barrier();
+      req.wait();
+    } else {
+      req.wait();
+      world.barrier();
+    }
+    expect_ibcast_data(buf);
+  });
+}
+
+// hier: rank 2 leads node {2, 3}, so its barrier spins on rank 3's
+// arrival flag while rank 3 waits for the ibcast data rank 2 forwards.
+TEST(ProgressTest, HierFlagWaitProgressesIbcast) {
+  Universe::launch(progress_cfg(CollectiveSuite::kHier, 2), [](Comm& world) {
+    std::vector<int> buf(16, -1);
+    Request req = start_late_ibcast(world, buf);
+    if (world.rank() == 2) {
+      world.barrier();
+      req.wait();
+    } else {
+      req.wait();
+      world.barrier();
+    }
+    expect_ibcast_data(buf);
+  });
+}
+
+// Rank 2 blocks in `take_token` on a message rank 3 sends only after its
+// ibcast completes, which needs rank 2 to forward the data.
+void rank2_blocks_on_token(const std::function<void(Comm&, int&)>& take_token) {
+  Universe::launch(progress_cfg(), [&](Comm& world) {
+    std::vector<int> buf(16, -1);
+    Request req = start_late_ibcast(world, buf);
+    int token = -1;
+    if (world.rank() == 2) {
+      take_token(world, token);
+      req.wait();
+      EXPECT_EQ(token, 33);
+    } else if (world.rank() == 3) {
+      req.wait();
+      token = 33;
+      world.send(&token, sizeof(token), 2, 5);
+    } else {
+      req.wait();
+    }
+    expect_ibcast_data(buf);
+  });
+}
+
+TEST(ProgressTest, BlockingRecvProgressesIbcast) {
+  rank2_blocks_on_token([](Comm& world, int& token) {
+    world.recv(&token, sizeof(token), 3, 5);
+  });
+}
+
+TEST(ProgressTest, WaitAnyProgressesIbcast) {
+  rank2_blocks_on_token([](Comm& world, int& token) {
+    Request reqs[] = {world.irecv(&token, sizeof(token), 3, 5)};
+    EXPECT_EQ(Request::wait_any(reqs), 0u);
+  });
+}
+
+TEST(ProgressTest, ProbeProgressesIbcast) {
+  rank2_blocks_on_token([](Comm& world, int& token) {
+    EXPECT_EQ(world.probe(3, 5).count_bytes, sizeof(token));
+    world.recv(&token, sizeof(token), 3, 5);
+  });
+}
+
+TEST(ProgressTest, IprobeLoopProgressesIbcast) {
+  rank2_blocks_on_token([](Comm& world, int& token) {
+    Status st;
+    while (!world.iprobe(3, 5, &st)) std::this_thread::yield();
+    world.recv(&token, sizeof(token), 3, 5);
+  });
+}
+
+// --- Schedule shapes --------------------------------------------------------
+//
+// With the deterministic clock and one rank per node, a blocking
+// collective's virtual times are a pure function of its message pattern:
+// which sends and receives each rank issues, in what order, and which of
+// them it waits for before issuing the next. One FNV-1a hash per
+// (suite, ranks, size) case over every rank's vtime_ns() after every
+// operation pins those patterns, so an algorithm that gains or loses a
+// round, or moves a send across a wait, changes its case's hash. The
+// table was recorded from the point-to-point implementations that the
+// schedule builders replaced.
+
+struct ShapeCase {
+  CollectiveSuite suite;
+  int ranks;
+  std::size_t size;
+  std::uint64_t hash;
+};
+
+constexpr ShapeCase kShapeTable[] = {
+    {CollectiveSuite::kMv2, 3, 8, 0xb9c9e98c87857054ULL},
+    {CollectiveSuite::kMv2, 3, 4096, 0x5834b130fe63eb1dULL},
+    {CollectiveSuite::kMv2, 3, 65536, 0x48c46b7a8022315aULL},
+    {CollectiveSuite::kMv2, 3, 1048576, 0x5bcfefd91efd2313ULL},
+    {CollectiveSuite::kMv2, 4, 8, 0x1c613bed1b1855ecULL},
+    {CollectiveSuite::kMv2, 4, 4096, 0xc95a5c7d878cfa00ULL},
+    {CollectiveSuite::kMv2, 4, 65536, 0x28460193431c49c0ULL},
+    {CollectiveSuite::kMv2, 4, 1048576, 0x9b233677a7412950ULL},
+    {CollectiveSuite::kMv2, 5, 8, 0x85700047f64b4d86ULL},
+    {CollectiveSuite::kMv2, 5, 4096, 0x91d35845d5cc308fULL},
+    {CollectiveSuite::kMv2, 5, 65536, 0x70e366d2465c23faULL},
+    {CollectiveSuite::kMv2, 5, 1048576, 0xc1b4ab4cee175b4bULL},
+    {CollectiveSuite::kMv2, 8, 8, 0xa786e0eadf8a1869ULL},
+    {CollectiveSuite::kMv2, 8, 4096, 0x3194cbc0073dfafeULL},
+    {CollectiveSuite::kMv2, 8, 65536, 0x78053cd79899bbc1ULL},
+    {CollectiveSuite::kMv2, 8, 1048576, 0x71446893b00f17c0ULL},
+    {CollectiveSuite::kOmpiBasic, 3, 8, 0xad2a8cdced89aa2dULL},
+    {CollectiveSuite::kOmpiBasic, 3, 4096, 0x676fffbc05f4d64aULL},
+    {CollectiveSuite::kOmpiBasic, 3, 65536, 0x1f3ddfc36a637dbcULL},
+    {CollectiveSuite::kOmpiBasic, 3, 1048576, 0xa60d47b165dd3308ULL},
+    {CollectiveSuite::kOmpiBasic, 4, 8, 0x6ba85d798c5e63edULL},
+    {CollectiveSuite::kOmpiBasic, 4, 4096, 0xbee0aa9c13f9385cULL},
+    {CollectiveSuite::kOmpiBasic, 4, 65536, 0x880715790789cdd1ULL},
+    {CollectiveSuite::kOmpiBasic, 4, 1048576, 0xf6f8f1a349a58426ULL},
+    {CollectiveSuite::kOmpiBasic, 5, 8, 0x81b249f27b1a5a77ULL},
+    {CollectiveSuite::kOmpiBasic, 5, 4096, 0xe852d71f0e90c104ULL},
+    {CollectiveSuite::kOmpiBasic, 5, 65536, 0xddf5614553aa0478ULL},
+    {CollectiveSuite::kOmpiBasic, 5, 1048576, 0xcaea6accc2a2dd9cULL},
+    {CollectiveSuite::kOmpiBasic, 8, 8, 0x67145dac96866143ULL},
+    {CollectiveSuite::kOmpiBasic, 8, 4096, 0xa9997e56bd4b2f65ULL},
+    {CollectiveSuite::kOmpiBasic, 8, 65536, 0x4fe31e7e3252e0b4ULL},
+    {CollectiveSuite::kOmpiBasic, 8, 1048576, 0xaed7fbb3a502f3b8ULL},
+    {CollectiveSuite::kHier, 3, 8, 0xb9c9e98c87857054ULL},
+    {CollectiveSuite::kHier, 3, 4096, 0x5834b130fe63eb1dULL},
+    {CollectiveSuite::kHier, 3, 65536, 0xca4be6a832e81308ULL},
+    {CollectiveSuite::kHier, 3, 1048576, 0xe5fa737c0296c28fULL},
+    {CollectiveSuite::kHier, 4, 8, 0x6aecf904f1d8e582ULL},
+    {CollectiveSuite::kHier, 4, 4096, 0x7149f426952853c7ULL},
+    {CollectiveSuite::kHier, 4, 65536, 0xd990ffe0b39f1654ULL},
+    {CollectiveSuite::kHier, 4, 1048576, 0x8d9875842adc3144ULL},
+    {CollectiveSuite::kHier, 5, 8, 0x85700047f64b4d86ULL},
+    {CollectiveSuite::kHier, 5, 4096, 0x91d35845d5cc308fULL},
+    {CollectiveSuite::kHier, 5, 65536, 0x6468517a7d98434bULL},
+    {CollectiveSuite::kHier, 5, 1048576, 0x8ba5abfa9acdb0d3ULL},
+    {CollectiveSuite::kHier, 8, 8, 0x56c708080eb2de27ULL},
+    {CollectiveSuite::kHier, 8, 4096, 0x2d14aea8201f465fULL},
+    {CollectiveSuite::kHier, 8, 65536, 0x922fb51ec42c79b5ULL},
+    {CollectiveSuite::kHier, 8, 1048576, 0xac1767fbf04659d8ULL},
+};
+
+std::uint64_t fnv1a(std::uint64_t h, std::int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Every blocking collective once, with non-zero roots, then one dup and
+/// one split; returns the caller's virtual time after each.
+std::vector<std::int64_t> shape_ops(Comm& world, std::size_t size) {
+  const int n = world.size();
+  const int me = world.rank();
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::int64_t> t;
+  auto stamp = [&] { t.push_back(world.vtime_ns()); };
+
+  const std::size_t count = std::max<std::size_t>(1, size / sizeof(double));
+  const std::size_t per = std::max<std::size_t>(1, count / un);
+  const std::size_t bpr = std::max<std::size_t>(1, size / un);
+  std::vector<double> dsend(count, me + 1.0), drecv(count);
+  std::vector<double> rs_in(per * un, 1.0);
+  std::vector<std::byte> buf(size), blocks_in(bpr * un), blocks_out(bpr * un);
+
+  world.barrier();
+  stamp();
+  world.bcast(buf.data(), size, 1);
+  stamp();
+  world.reduce(dsend.data(), drecv.data(), count, BasicKind::kDouble,
+               ReduceOp::kSum, n - 1);
+  stamp();
+  world.allreduce(dsend.data(), drecv.data(), count, BasicKind::kDouble,
+                  ReduceOp::kSum);
+  stamp();
+  world.reduce_scatter_block(rs_in.data(), drecv.data(), per,
+                             BasicKind::kDouble, ReduceOp::kSum);
+  stamp();
+  world.scan(dsend.data(), drecv.data(), count, BasicKind::kDouble,
+             ReduceOp::kSum);
+  stamp();
+  world.gather(blocks_in.data(), bpr, blocks_out.data(), 2);
+  stamp();
+  world.scatter(blocks_in.data(), bpr, blocks_out.data(), 1);
+  stamp();
+  world.allgather(blocks_in.data(), bpr, blocks_out.data());
+  stamp();
+  world.alltoall(blocks_in.data(), bpr, blocks_out.data());
+  stamp();
+
+  // Vectored: rank r's block is bpr + r bytes; alltoallv pairs vary too.
+  std::vector<std::size_t> counts(un), displs(un);
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < un; ++r) {
+    counts[r] = bpr + r;
+    displs[r] = total;
+    total += counts[r];
+  }
+  const auto mi = static_cast<std::size_t>(me);
+  std::vector<std::byte> vin(total), vout(total);
+  world.gatherv(vin.data(), counts[mi], vout.data(), counts, displs, n - 1);
+  stamp();
+  world.scatterv(vout.data(), counts, displs, vin.data(), counts[mi], 1);
+  stamp();
+  world.allgatherv(vin.data(), counts[mi], vout.data(), counts, displs);
+  stamp();
+  std::vector<std::size_t> sc(un), sd(un), rc(un), rd(un);
+  std::size_t st = 0, rt = 0;
+  for (std::size_t r = 0; r < un; ++r) {
+    sc[r] = bpr + (mi + r) % 3;
+    sd[r] = st;
+    st += sc[r];
+    rc[r] = bpr + (r + mi) % 3;
+    rd[r] = rt;
+    rt += rc[r];
+  }
+  std::vector<std::byte> ain(st), aout(rt);
+  world.alltoallv(ain.data(), sc, sd, aout.data(), rc, rd);
+  stamp();
+
+  const Comm dup = world.dup();
+  stamp();
+  const Comm half = world.split(me % 2, -me);
+  stamp();
+  return t;
+}
+
+TEST(ScheduleShapeTest, DetClockVirtualTimesMatchParent) {
+  const CollectiveSuite suites[] = {CollectiveSuite::kMv2,
+                                    CollectiveSuite::kOmpiBasic,
+                                    CollectiveSuite::kHier};
+  const char* names[] = {"kMv2", "kOmpiBasic", "kHier"};
+  std::vector<ShapeCase> got;
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (const int n : {3, 4, 5, 8}) {
+      for (const std::size_t size : {std::size_t{8}, std::size_t{4096},
+                                     std::size_t{65536},
+                                     std::size_t{1} << 20}) {
+        UniverseConfig cfg;
+        cfg.world_size = n;
+        cfg.suite = suites[s];
+        cfg.deterministic_clock = true;
+        cfg.fabric.ranks_per_node = 1;
+        cfg.obs = obs::ObsConfig{};
+        std::vector<std::vector<std::int64_t>> traces(
+            static_cast<std::size_t>(n));
+        Universe::launch(cfg, [&](Comm& world) {
+          traces[static_cast<std::size_t>(world.rank())] =
+              shape_ops(world, size);
+        });
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (const auto& tr : traces)
+          for (const std::int64_t v : tr) h = fnv1a(h, v);
+        got.push_back({suites[s], n, size, h});
+        const ShapeCase* want = nullptr;
+        for (const ShapeCase& c : kShapeTable) {
+          if (c.suite == suites[s] && c.ranks == n && c.size == size)
+            want = &c;
+        }
+        EXPECT_TRUE(want != nullptr && want->hash == h)
+            << names[s] << " n=" << n << " size=" << size << " hash 0x"
+            << std::hex << h;
+      }
+    }
+  }
+  if (HasFailure()) {
+    std::ostringstream table;
+    for (const ShapeCase& c : got) {
+      const std::size_t s = c.suite == CollectiveSuite::kMv2         ? 0
+                            : c.suite == CollectiveSuite::kOmpiBasic ? 1
+                                                                     : 2;
+      table << "    {CollectiveSuite::" << names[s] << ", " << c.ranks
+            << ", " << c.size << ", 0x" << std::hex << c.hash << std::dec
+            << "ULL},\n";
+    }
+    ADD_FAILURE() << "measured table:\n" << table.str();
+  }
+}
 
 }  // namespace
 }  // namespace jhpc::minimpi

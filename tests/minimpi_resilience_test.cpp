@@ -395,6 +395,32 @@ TEST(ResilienceFatalTest, ErrhandlerIsInheritedByDerivedComms) {
   EXPECT_EQ(caught.load(), 3);
 }
 
+// dup's context-id agreement is not a user collective: a dead peer there
+// raises RankFailedError, and the parent stays usable like after a failed
+// point-to-point call.
+TEST(ResilienceFatalTest, DupMeetingDeadPeerDoesNotRevokeParent) {
+  UniverseConfig c = kill_cfg(3, {{0, 0}});
+  std::atomic<int> caught{0};
+  Universe::launch(c, [&](Comm& world) {
+    world.set_errhandler(Errhandler::kErrorsReturn);
+    try {
+      Comm dup = world.dup();  // rank 0 (the agreement root) dies here
+      ADD_FAILURE() << "dup without its root returned";
+    } catch (const RankFailedError& e) {
+      EXPECT_EQ(e.failed_ranks(), std::vector<int>{0});
+      caught.fetch_add(1);
+    }
+    int token = world.rank();
+    if (world.rank() == 1) {
+      world.send(&token, sizeof(token), 2, 9);
+    } else {
+      world.recv(&token, sizeof(token), 1, 9);
+      EXPECT_EQ(token, 1);
+    }
+  });
+  EXPECT_EQ(caught.load(), 2);
+}
+
 // --- Teardown / reuse after a failed job ------------------------------------
 
 TEST(ResilienceTeardownTest, UniverseIsReusableAfterAFailedJob) {

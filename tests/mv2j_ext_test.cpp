@@ -292,6 +292,35 @@ TEST(DerivedTypeTest, OmpijRejectsDerivedArrays) {
   });
 }
 
+// allToAllv hands the caller's count/displacement arrays to the native
+// alltoallv, which indexes one entry per rank: arrays shorter than the
+// communicator must be refused on every rank before any traffic (they
+// once read past the end of the native spans), in both profiles and for
+// both arrays and direct buffers.
+template <typename EnvT>
+void expect_short_alltoallv_rejected(EnvT& env) {
+  auto& world = env.COMM_WORLD();
+  const std::vector<int> one{1};
+  const std::vector<int> zero{0};
+  auto sarr = env.template newArray<minijvm::jint>(4);
+  auto rarr = env.template newArray<minijvm::jint>(4);
+  EXPECT_THROW(world.allToAllv(sarr, one, zero, INT, rarr, one, zero),
+               InvalidArgumentError);
+  auto sbuf = env.newDirectBuffer(16);
+  auto rbuf = env.newDirectBuffer(16);
+  EXPECT_THROW(world.allToAllv(sbuf, one, zero, INT, rbuf, one, zero),
+               InvalidArgumentError);
+  world.barrier();
+}
+
+TEST(VectoredArgsTest, ShortAllToAllvArraysRejectedInBothProfiles) {
+  run(fast_opts(2), [](Env& env) { expect_short_alltoallv_rejected(env); });
+  ompij::RunOptions o;
+  o.ranks = 2;
+  o.jvm.jni_crossing_ns = 0;
+  ompij::run(o, [](ompij::Env& env) { expect_short_alltoallv_rejected(env); });
+}
+
 // The vectored ByteBuffer collectives have no typed substrate form, so
 // both bindings must refuse a derived datatype instead of moving
 // count * size() raw bytes from the base pointer (which gathers the
